@@ -4,7 +4,7 @@
 //
 // Two instrumented workloads — the dense training kernels (ParallelFor and
 // MatMul FLOP counters fire on every op) and the serving path (Embed latency
-// histograms, store hit/miss counters, trace-span guards) — run whole-bench
+// histograms, store hit/miss counters, stage-scope guards) — run whole-bench
 // with metrics ENABLED and metrics DISABLED (compiled in, kill switch off;
 // tracing off in both modes). Runs are paired, the order within each pair
 // is randomized, and the reported overhead is the interquartile mean of the

@@ -57,6 +57,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/slo.h"
+#include "obs/stage.h"
 #include "obs/trace.h"
 #include "serve/inference_session.h"
 #include "serve/net/admin.h"
@@ -216,9 +217,7 @@ class SignalWatcher {
 };
 
 void PrintEmbedLatencySummary() {
-  obs::Histogram* embed_us = obs::MetricsRegistry::Get().GetHistogram(
-      "widen_serve_embed_us",
-      "Wall time per InferenceSession::Embed call (microseconds)");
+  obs::Histogram* embed_us = obs::StageHistogram(obs::Stage::kEmbed);
   if (embed_us->TotalCount() == 0) return;
   std::printf("embed latency: p50 %.2f us, p99 %.2f us over %lld calls\n",
               embed_us->Percentile(0.50), embed_us->Percentile(0.99),

@@ -4,8 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "tensor/autograd.h"
 #include "tensor/inference.h"
 #include "tensor/init.h"
@@ -141,7 +140,7 @@ void WidenModel::RefreshCache(const graph::HeteroGraph& graph,
 
 WidenModel::TargetState WidenModel::SampleTargetState(
     const graph::HeteroGraph& graph, graph::NodeId node, Rng& rng) const {
-  obs::ScopedProfPhase phase_scope(obs::ProfPhase::kSampling);
+  obs::StageScope sampling_stage(obs::Stage::kSampling);
   if (sampling_view_ != nullptr && &graph == graph_) {
     return core::SampleTargetState(*sampling_view_, node, config_, rng);
   }
@@ -152,7 +151,7 @@ WidenModel::TargetState WidenModel::SampleTargetState(
 WidenModel::ForwardResult WidenModel::Forward(const graph::HeteroGraph& graph,
                                               TargetState& state,
                                               bool keep_artifacts) {
-  obs::ScopedProfPhase phase_scope(obs::ProfPhase::kForward);
+  obs::StageScope forward_stage(obs::Stage::kForward);
   EmbeddingCache& cache = CacheFor(graph);
   CacheRepSource reps(cache.data, cache.valid, config_.embedding_dim);
   return EncodeTarget(graph::HeteroGraphView(graph), params_, config_, state,
@@ -238,7 +237,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUntil(
   // unlabeled ones out of the loss), which is how information reaches
   // farther than one hop as epochs accumulate.
   {
-    WIDEN_TRACE_SPAN("sample_target_states", "train");
+    obs::StageScope states_stage(obs::Stage::kSampleTargetStates);
     for (graph::NodeId v = 0; v < graph_->num_nodes(); ++v) {
       if (target_states_.find(v) == target_states_.end()) {
         target_states_.emplace(v, SampleTargetState(*graph_, v, rng_));
@@ -281,7 +280,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUntil(
   WIDEN_METRIC_COUNTER(deep_drops_total, "widen_train_kl_deep_drops_total",
                        "Deep walk nodes pruned by the KL trigger (Eq. 9)");
   while (current_epoch_ < target_epoch) {
-    WIDEN_TRACE_SPAN("train_epoch", "train");
+    obs::StageScope epoch_stage(obs::Stage::kTrainEpoch);
     StopWatch epoch_watch;
     WidenEpochLog log;
     log.epoch = current_epoch_;
@@ -293,7 +292,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUntil(
     supervised_order = supervised_canonical;
     rng_.Shuffle(supervised_order);
     {
-      WIDEN_TRACE_SPAN("supervised_batches", "train");
+      obs::StageScope batches_stage(obs::Stage::kSupervisedBatches);
       for (size_t begin = 0; begin < supervised_order.size();
            begin += static_cast<size_t>(config_.batch_size)) {
         const size_t end =
@@ -328,7 +327,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUntil(
           last_grad_norm = optimizer_->ClipGradNorm(1e30);
         }
         {
-          obs::ScopedProfPhase opt_scope(obs::ProfPhase::kOptimizer);
+          obs::StageScope optimizer_stage(obs::Stage::kOptimizer);
           optimizer_->Step();
         }
         loss_sum += loss.item();
@@ -340,7 +339,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUntil(
     // iterates all of V; unlabeled nodes contribute no loss, Eq. 10). This
     // sweep is what pushes information one hop further per epoch.
     {
-      WIDEN_TRACE_SPAN("refresh_sweep", "train");
+      obs::StageScope refresh_stage(obs::Stage::kRefreshSweep);
       T::NoGradScope no_grad;
       refresh_order = refresh_canonical;
       rng_.Shuffle(refresh_order);
@@ -450,7 +449,7 @@ StatusOr<WidenTrainReport> WidenModel::TrainUnsupervised(
         context_optimizer.ZeroGrad();
         loss.Backward();
         {
-          obs::ScopedProfPhase opt_scope(obs::ProfPhase::kOptimizer);
+          obs::StageScope optimizer_stage(obs::Stage::kOptimizer);
           optimizer_->Step();
           context_optimizer.Step();
         }

@@ -27,10 +27,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/stage.h"  // MonotonicMicros, the axis records are stamped on
+
 namespace widen::obs {
 
-/// One served request's life, in microseconds since the recorder epoch
-/// (MonotonicMicros). POD sized to the seqlock payload (8 words).
+/// One served request's life, in MonotonicMicros() — the axis trace events
+/// use, so a record lines up with the events of its batch. POD sized to the
+/// seqlock payload (8 words).
 struct FlightRecord {
   uint64_t trace_id = 0;     // wire trace id (0 when the client sent none)
   uint64_t request_id = 0;   // wire request id
@@ -84,11 +87,6 @@ class FlightRecorder {
  private:
   FlightRecorder() = default;
 };
-
-/// Microseconds since a process-wide steady-clock epoch; the time axis for
-/// FlightRecord stamps (shared with trace.cc's span axis conceptually but a
-/// distinct epoch — compare durations, not absolute stamps, across the two).
-int64_t MonotonicMicros();
 
 }  // namespace widen::obs
 

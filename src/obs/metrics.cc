@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "util/file_util.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -251,36 +252,6 @@ std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return std::string(buf);
-}
-
-std::string JsonDouble(double v) {
-  if (!std::isfinite(v)) return "null";  // JSON has no Inf/NaN literals
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return std::string(buf);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -12,22 +11,10 @@
 #include "obs/memprof.h"
 #include "obs/metrics.h"
 #include "util/file_util.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace widen::obs {
-
-const char* ProfPhaseName(ProfPhase phase) {
-  switch (phase) {
-    case ProfPhase::kOther: return "other";
-    case ProfPhase::kSampling: return "sampling";
-    case ProfPhase::kForward: return "forward";
-    case ProfPhase::kBackward: return "backward";
-    case ProfPhase::kOptimizer: return "optimizer";
-    case ProfPhase::kServeCold: return "serve_cold";
-    case ProfPhase::kServeWarm: return "serve_warm";
-  }
-  return "unknown";
-}
 
 const char* ProfOpName(ProfOp op) {
   switch (op) {
@@ -110,6 +97,26 @@ Registry& GetRegistry() {
   return *registry;
 }
 
+using Field = std::atomic<int64_t> StageCell::*;
+constexpr Field kAllocFields[] = {
+    &StageCell::tensor_allocs, &StageCell::tensor_bytes,
+    &StageCell::grad_allocs, &StageCell::grad_bytes, &StageCell::tape_nodes};
+
+// One field of one stage's cell, summed over every thread.
+int64_t SumStage(int stage, Field field) {
+  Registry& reg = GetRegistry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  int64_t total = 0;
+  for (const ThreadProfTable* table : reg.tables) {
+    total += (table->stages[stage].*field).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void Zero(std::atomic<int64_t>& cell) {
+  cell.store(0, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 ThreadProfTable& GetThreadTable() {
@@ -123,40 +130,35 @@ ThreadProfTable& GetThreadTable() {
   return *table;
 }
 
-ProfPhase& CurrentPhaseRef() {
-  thread_local ProfPhase phase = ProfPhase::kOther;
-  return phase;
-}
-
-namespace {
-
-// Innermost live phase scope on this thread, for self-time accounting.
-thread_local ScopedProfPhase* t_current_scope = nullptr;
-
-}  // namespace
-
 }  // namespace internal_prof
 
-ScopedProfPhase::ScopedProfPhase(ProfPhase phase)
-    : active_(ProfilerEnabled()) {
-  if (!active_) return;
-  phase_ = phase;
-  prev_phase_ = internal_prof::CurrentPhaseRef();
-  internal_prof::CurrentPhaseRef() = phase;
-  parent_ = internal_prof::t_current_scope;
-  internal_prof::t_current_scope = this;
-  start_ns_ = internal_prof::ProfNowNs();
+MemProfSnapshot TakeMemProfSnapshot() {
+  using internal_prof::StageCell;
+  using internal_prof::SumStage;
+  MemProfSnapshot snap;
+  for (int s = 0; s < kNumStages; ++s) {
+    MemProfPhaseStats& out = snap.stages[s];
+    out.tensor_allocs = SumStage(s, &StageCell::tensor_allocs);
+    out.tensor_bytes = SumStage(s, &StageCell::tensor_bytes);
+    out.grad_allocs = SumStage(s, &StageCell::grad_allocs);
+    out.grad_bytes = SumStage(s, &StageCell::grad_bytes);
+    out.tape_nodes = SumStage(s, &StageCell::tape_nodes);
+  }
+  snap.peak_rss_bytes = ReadPeakRssBytes();
+  snap.current_rss_bytes = ReadCurrentRssBytes();
+  return snap;
 }
 
-ScopedProfPhase::~ScopedProfPhase() {
-  if (!active_) return;
-  const int64_t elapsed = internal_prof::ProfNowNs() - start_ns_;
-  internal_prof::CellAdd(
-      internal_prof::GetThreadTable().phases[static_cast<int>(phase_)].wall_ns,
-      elapsed - child_ns_);
-  if (parent_ != nullptr) parent_->child_ns_ += elapsed;
-  internal_prof::t_current_scope = parent_;
-  internal_prof::CurrentPhaseRef() = prev_phase_;
+void ResetMemProf() {
+  auto& reg = internal_prof::GetRegistry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  for (internal_prof::ThreadProfTable* table : reg.tables) {
+    for (internal_prof::StageCell& c : table->stages) {
+      for (const internal_prof::Field f : internal_prof::kAllocFields) {
+        internal_prof::Zero(c.*f);
+      }
+    }
+  }
 }
 
 Profiler& Profiler::Get() {
@@ -173,34 +175,38 @@ void Profiler::Stop() {
 }
 
 void Profiler::Reset() {
+  using internal_prof::Zero;
   auto& reg = internal_prof::GetRegistry();
   std::lock_guard<std::mutex> lock(reg.mu);
   for (internal_prof::ThreadProfTable* table : reg.tables) {
-    for (auto& per_phase : table->ops) {
-      for (internal_prof::OpCell& c : per_phase) {
-        c.calls.store(0, std::memory_order_relaxed);
-        c.flops.store(0, std::memory_order_relaxed);
-        c.bytes.store(0, std::memory_order_relaxed);
-        c.wall_ns.store(0, std::memory_order_relaxed);
+    for (auto& per_stage : table->ops) {
+      for (internal_prof::OpCell& c : per_stage) {
+        Zero(c.calls);
+        Zero(c.flops);
+        Zero(c.bytes);
+        Zero(c.wall_ns);
       }
     }
-    for (internal_prof::PhaseCell& c : table->phases) {
-      c.wall_ns.store(0, std::memory_order_relaxed);
-      c.parallel_calls.store(0, std::memory_order_relaxed);
-      c.parallel_chunks.store(0, std::memory_order_relaxed);
-      c.parallel_inline.store(0, std::memory_order_relaxed);
+    for (internal_prof::StageCell& c : table->stages) {
+      Zero(c.calls);
+      Zero(c.self_ns);
+      Zero(c.parallel_calls);
+      Zero(c.parallel_chunks);
+      Zero(c.parallel_inline);
+      for (const internal_prof::Field f : internal_prof::kAllocFields) {
+        Zero(c.*f);
+      }
     }
   }
-  ResetMemProf();
 }
 
-Profiler::OpTotals Profiler::Totals(ProfOp op, ProfPhase phase) const {
+Profiler::OpTotals Profiler::Totals(ProfOp op, Stage stage) const {
   OpTotals totals;
   auto& reg = internal_prof::GetRegistry();
   std::lock_guard<std::mutex> lock(reg.mu);
   for (const internal_prof::ThreadProfTable* table : reg.tables) {
     const internal_prof::OpCell& c =
-        table->ops[static_cast<int>(op)][static_cast<int>(phase)];
+        table->ops[static_cast<int>(op)][static_cast<int>(stage)];
     totals.calls += c.calls.load(std::memory_order_relaxed);
     totals.flops += c.flops.load(std::memory_order_relaxed);
     totals.bytes += c.bytes.load(std::memory_order_relaxed);
@@ -211,8 +217,8 @@ Profiler::OpTotals Profiler::Totals(ProfOp op, ProfPhase phase) const {
 
 Profiler::OpTotals Profiler::Totals(ProfOp op) const {
   OpTotals totals;
-  for (int p = 0; p < kNumProfPhases; ++p) {
-    const OpTotals t = Totals(op, static_cast<ProfPhase>(p));
+  for (int s = 0; s < kNumStages; ++s) {
+    const OpTotals t = Totals(op, static_cast<Stage>(s));
     totals.calls += t.calls;
     totals.flops += t.flops;
     totals.bytes += t.bytes;
@@ -221,15 +227,9 @@ Profiler::OpTotals Profiler::Totals(ProfOp op) const {
   return totals;
 }
 
-int64_t Profiler::PhaseWallNs(ProfPhase phase) const {
-  int64_t total = 0;
-  auto& reg = internal_prof::GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (const internal_prof::ThreadProfTable* table : reg.tables) {
-    total += table->phases[static_cast<int>(phase)].wall_ns.load(
-        std::memory_order_relaxed);
-  }
-  return total;
+int64_t Profiler::StageSelfNs(Stage stage) const {
+  return internal_prof::SumStage(static_cast<int>(stage),
+                                 &internal_prof::StageCell::self_ns);
 }
 
 namespace {
@@ -259,28 +259,10 @@ double PeakGbs() {
   return v;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // drop control chars
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string JsonNum(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return std::string(buf);
-}
-
-// One aggregated (op, phase) row plus its roofline-derived rates.
+// One aggregated (op, stage) row plus its roofline-derived rates.
 struct OpRow {
   ProfOp op;
-  ProfPhase phase;
+  Stage stage;
   Profiler::OpTotals t;
   double wall_ms = 0.0;
   double gflops = 0.0;   // achieved GFLOP/s over the op's own wall time
@@ -292,11 +274,11 @@ struct OpRow {
 std::vector<OpRow> CollectRows(const Profiler& prof, double ridge) {
   std::vector<OpRow> rows;
   for (int o = 0; o < kNumProfOps; ++o) {
-    for (int p = 0; p < kNumProfPhases; ++p) {
+    for (int s = 0; s < kNumStages; ++s) {
       OpRow row;
       row.op = static_cast<ProfOp>(o);
-      row.phase = static_cast<ProfPhase>(p);
-      row.t = prof.Totals(row.op, row.phase);
+      row.stage = static_cast<Stage>(s);
+      row.t = prof.Totals(row.op, row.stage);
       if (row.t.calls == 0) continue;
       row.wall_ms = static_cast<double>(row.t.wall_ns) / 1e6;
       if (row.t.wall_ns > 0) {
@@ -329,9 +311,9 @@ std::string Profiler::DumpJson() const {
 
   std::ostringstream out;
   out << "{\n  \"schema_version\": 1,\n  \"roofline\": {"
-      << "\"peak_gflops\": " << JsonNum(PeakGflops())
-      << ", \"peak_gbs\": " << JsonNum(PeakGbs())
-      << ", \"ridge_flops_per_byte\": " << JsonNum(ridge) << "},\n";
+      << "\"peak_gflops\": " << JsonDouble(PeakGflops())
+      << ", \"peak_gbs\": " << JsonDouble(PeakGbs())
+      << ", \"ridge_flops_per_byte\": " << JsonDouble(ridge) << "},\n";
 
   {
     AnnotationMap& map = GetAnnotations();
@@ -348,32 +330,29 @@ std::string Profiler::DumpJson() const {
 
   out << "  \"phases\": [";
   bool first = true;
-  for (int p = 0; p < kNumProfPhases; ++p) {
-    const ProfPhase phase = static_cast<ProfPhase>(p);
-    const int64_t wall_ns = PhaseWallNs(phase);
-    int64_t pf_calls = 0, pf_chunks = 0, pf_inline = 0;
-    {
-      auto& reg = internal_prof::GetRegistry();
-      std::lock_guard<std::mutex> lock(reg.mu);
-      for (const internal_prof::ThreadProfTable* table : reg.tables) {
-        const internal_prof::PhaseCell& c = table->phases[p];
-        pf_calls += c.parallel_calls.load(std::memory_order_relaxed);
-        pf_chunks += c.parallel_chunks.load(std::memory_order_relaxed);
-        pf_inline += c.parallel_inline.load(std::memory_order_relaxed);
-      }
-    }
-    const MemProfPhaseStats& alloc = mem.phases[p];
-    if (wall_ns == 0 && pf_calls == 0 && pf_inline == 0 &&
+  for (int s = 0; s < kNumStages; ++s) {
+    using internal_prof::StageCell;
+    const auto sum = [s](internal_prof::Field f) {
+      return internal_prof::SumStage(s, f);
+    };
+    const int64_t calls = sum(&StageCell::calls);
+    const int64_t parallel_calls = sum(&StageCell::parallel_calls);
+    const int64_t parallel_inline = sum(&StageCell::parallel_inline);
+    const MemProfPhaseStats& alloc = mem.stages[s];
+    if (calls == 0 && parallel_calls == 0 && parallel_inline == 0 &&
         alloc.tensor_allocs == 0 && alloc.grad_allocs == 0 &&
         alloc.tape_nodes == 0) {
       continue;
     }
+    // wall_ms is SELF time: the rows of all stages sum to the wall time of
+    // the outermost scopes.
     out << (first ? "\n" : ",\n") << "    {\"phase\": \""
-        << ProfPhaseName(phase) << "\""
-        << ", \"wall_ms\": " << JsonNum(static_cast<double>(wall_ns) / 1e6)
-        << ", \"parallel_calls\": " << pf_calls
-        << ", \"parallel_chunks\": " << pf_chunks
-        << ", \"parallel_inline\": " << pf_inline
+        << StageName(static_cast<Stage>(s)) << "\", \"calls\": " << calls
+        << ", \"wall_ms\": "
+        << JsonDouble(static_cast<double>(sum(&StageCell::self_ns)) / 1e6)
+        << ", \"parallel_calls\": " << parallel_calls
+        << ", \"parallel_chunks\": " << sum(&StageCell::parallel_chunks)
+        << ", \"parallel_inline\": " << parallel_inline
         << ", \"tensor_allocs\": " << alloc.tensor_allocs
         << ", \"tensor_alloc_bytes\": " << alloc.tensor_bytes
         << ", \"grad_allocs\": " << alloc.grad_allocs
@@ -387,13 +366,13 @@ std::string Profiler::DumpJson() const {
   first = true;
   for (const OpRow& row : rows) {
     out << (first ? "\n" : ",\n") << "    {\"op\": \"" << ProfOpName(row.op)
-        << "\", \"phase\": \"" << ProfPhaseName(row.phase) << "\""
+        << "\", \"phase\": \"" << StageName(row.stage) << "\""
         << ", \"calls\": " << row.t.calls << ", \"flops\": " << row.t.flops
         << ", \"bytes\": " << row.t.bytes
-        << ", \"wall_ms\": " << JsonNum(row.wall_ms)
-        << ", \"gflops\": " << JsonNum(row.gflops)
-        << ", \"gbs\": " << JsonNum(row.gbs)
-        << ", \"arithmetic_intensity\": " << JsonNum(row.ai)
+        << ", \"wall_ms\": " << JsonDouble(row.wall_ms)
+        << ", \"gflops\": " << JsonDouble(row.gflops)
+        << ", \"gbs\": " << JsonDouble(row.gbs)
+        << ", \"arithmetic_intensity\": " << JsonDouble(row.ai)
         << ", \"bound\": \"" << (row.compute_bound ? "compute" : "memory")
         << "\"}";
     first = false;
@@ -424,16 +403,16 @@ std::string Profiler::FormatTopOps(int max_rows) const {
   std::ostringstream out;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%-20s %-10s %10s %10s %9s %8s %8s  %s\n", "op", "phase",
+                "%-20s %-20s %10s %10s %9s %8s %8s  %s\n", "op", "stage",
                 "calls", "wall_ms", "GFLOP/s", "GB/s", "AI", "bound");
   out << line;
-  out << std::string(88, '-') << "\n";
+  out << std::string(98, '-') << "\n";
   int emitted = 0;
   for (const OpRow& row : rows) {
     if (emitted++ >= max_rows) break;
     std::snprintf(line, sizeof(line),
-                  "%-20s %-10s %10lld %10.3f %9.3f %8.3f %8.3f  %s\n",
-                  ProfOpName(row.op), ProfPhaseName(row.phase),
+                  "%-20s %-20s %10lld %10.3f %9.3f %8.3f %8.3f  %s\n",
+                  ProfOpName(row.op), StageName(row.stage),
                   static_cast<long long>(row.t.calls), row.wall_ms,
                   row.gflops, row.gbs, row.ai,
                   row.compute_bound ? "compute" : "memory");

@@ -3,10 +3,12 @@
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "util/file_util.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace widen::obs {
@@ -52,6 +54,62 @@ ThreadBuffer& GetThreadBuffer() {
   return *buffer;
 }
 
+// One thread's events, copied or taken out of its buffer for export.
+struct ThreadEvents {
+  int log_thread_id;
+  std::vector<Event> events;
+};
+
+// Copies every buffer, or with `take` moves the events out (swapping each
+// buffer empty under its own lock) and releases them from the cap.
+std::vector<ThreadEvents> CollectEvents(bool take) {
+  Registry& reg = GetRegistry();
+  std::vector<ThreadEvents> out;
+  std::lock_guard<std::mutex> lock(reg.mu);
+  out.reserve(reg.buffers.size());
+  for (ThreadBuffer* buffer : reg.buffers) {
+    ThreadEvents te{buffer->log_thread_id, {}};
+    {
+      std::lock_guard<std::mutex> buffer_lock(buffer->mu);
+      if (take) {
+        te.events.swap(buffer->events);
+      } else {
+        te.events = buffer->events;
+      }
+    }
+    if (take) {
+      reg.total_events.fetch_sub(te.events.size(), std::memory_order_relaxed);
+    }
+    out.push_back(std::move(te));
+  }
+  return out;
+}
+
+std::string FormatChromeJson(const std::vector<ThreadEvents>& threads) {
+  std::ostringstream out;
+  out << "{\"traceEvents\": [";
+  bool first = true;
+  for (const ThreadEvents& te : threads) {
+    for (const Event& e : te.events) {
+      const StageInfo& info = GetStageInfo(e.stage);
+      out << (first ? "\n" : ",\n") << "{\"name\": \""
+          << JsonEscape(info.name) << "\", \"cat\": \""
+          << JsonEscape(info.layer) << "\", \"ph\": \"X\", \"pid\": 1, "
+          << "\"tid\": " << te.log_thread_id << ", \"ts\": " << e.start_us
+          << ", \"dur\": " << e.duration_us << "}";
+      first = false;
+    }
+  }
+  out << (first ? "" : "\n") << "], \"displayTimeUnit\": \"ms\"}\n";
+  return out.str();
+}
+
+size_t CountEvents(const std::vector<ThreadEvents>& threads) {
+  size_t n = 0;
+  for (const ThreadEvents& te : threads) n += te.events.size();
+  return n;
+}
+
 }  // namespace
 
 void AppendEvent(const Event& event) {
@@ -70,20 +128,6 @@ void AppendEvent(const Event& event) {
   buffer.events.push_back(event);
 }
 
-int64_t NowMicros() {
-  // steady_clock since a process-wide epoch so all threads share one axis.
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch)
-      .count();
-}
-
-int& ThreadSpanDepth() {
-  thread_local int depth = 0;
-  return depth;
-}
-
 }  // namespace internal_trace
 
 TraceRecorder& TraceRecorder::Get() {
@@ -92,7 +136,7 @@ TraceRecorder& TraceRecorder::Get() {
 }
 
 void TraceRecorder::Start() {
-  internal_trace::NowMicros();  // pin the epoch before the first span
+  MonotonicNanos();  // pin the epoch before the first event
   internal_trace::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
 
@@ -101,13 +145,7 @@ void TraceRecorder::Stop() {
 }
 
 void TraceRecorder::Clear() {
-  auto& reg = internal_trace::GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (auto* buffer : reg.buffers) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-    buffer->events.clear();
-  }
-  reg.total_events.store(0, std::memory_order_relaxed);
+  internal_trace::CollectEvents(/*take=*/true);
 }
 
 void TraceRecorder::SetMaxEvents(size_t max_events) {
@@ -136,46 +174,9 @@ size_t TraceRecorder::EventCount() const {
   return total;
 }
 
-namespace {
-
-void AppendJsonEscaped(std::ostringstream& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-}
-
-}  // namespace
-
 std::string TraceRecorder::ExportChromeJson() const {
-  auto& reg = internal_trace::GetRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::ostringstream out;
-  out << "{\"traceEvents\": [";
-  bool first = true;
-  for (auto* buffer : reg.buffers) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-    for (const auto& e : buffer->events) {
-      out << (first ? "\n" : ",\n") << "{\"name\": \"";
-      AppendJsonEscaped(out, e.name);
-      out << "\", \"cat\": \"";
-      AppendJsonEscaped(out, e.category);
-      out << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
-          << buffer->log_thread_id << ", \"ts\": " << e.start_us
-          << ", \"dur\": " << e.duration_us << "}";
-      first = false;
-    }
-  }
-  out << (first ? "" : "\n") << "], \"displayTimeUnit\": \"ms\"}\n";
-  return out.str();
+  return internal_trace::FormatChromeJson(
+      internal_trace::CollectEvents(/*take=*/false));
 }
 
 Status TraceRecorder::WriteChromeJson(const std::string& path) const {
@@ -204,11 +205,18 @@ void ExportTraceAtExit() {
 
 Status TraceRecorder::Flush() {
   if (g_trace_exit_path == nullptr) return Status::OK();
-  WIDEN_RETURN_IF_ERROR(WriteChromeJson(*g_trace_exit_path));
-  // Clearing after a successful write bounds a long-running server's trace
-  // memory to one flush interval; the dropped-span count is preserved.
-  Clear();
-  return Status::OK();
+  // Taking the events before the write bounds a long-running server's trace
+  // memory to one flush interval, and events recorded during the write stay
+  // buffered for the next flush.
+  const std::vector<internal_trace::ThreadEvents> taken =
+      internal_trace::CollectEvents(/*take=*/true);
+  const Status status = WriteStringToFile(
+      *g_trace_exit_path, internal_trace::FormatChromeJson(taken));
+  if (!status.ok()) {
+    internal_trace::GetRegistry().dropped_events.fetch_add(
+        internal_trace::CountEvents(taken), std::memory_order_relaxed);
+  }
+  return status;
 }
 
 void InstallTraceExportOnExit(const std::string& trace_out) {

@@ -1,18 +1,12 @@
 // Chrome trace_event recording (DESIGN.md §11).
 //
-// TraceSpan is an RAII scope that, while tracing is enabled, records one
-// complete ("ph":"X") event with the span's name, category, start timestamp,
-// and duration onto a thread-local buffer. Buffers register themselves with
-// the process-wide TraceRecorder, which can export everything as Chrome
-// trace_event JSON — load the file in chrome://tracing or Perfetto to see
-// the per-thread nesting of epochs, batches, kernel calls, and serve
-// requests on a shared time axis.
-//
-// Cost model: when tracing is disabled (the default) constructing a span is
-// one relaxed atomic load and a branch — no clock read, no allocation.
-// Enabled spans read the steady clock twice and append one POD event to a
-// pre-grown thread-local vector. Timestamps are microseconds since the
-// recorder's epoch (steady_clock, so spans from all threads share one axis).
+// While tracing is enabled every StageScope (obs/stage.h) records one
+// complete ("ph":"X") event — the stage's name and layer, start timestamp
+// and duration — onto a thread-local buffer. Buffers register themselves
+// with the process-wide TraceRecorder, which exports everything as Chrome
+// trace_event JSON: load the file in chrome://tracing or Perfetto to see the
+// per-thread nesting of epochs, batches and serve requests. Timestamps are
+// MonotonicMicros(), the axis flight records are stamped on too.
 //
 // Enable programmatically with TraceRecorder::Get().Start(), or for CLIs via
 // the WIDEN_TRACE environment variable / --trace_out flags, which write the
@@ -21,41 +15,26 @@
 #ifndef WIDEN_OBS_TRACE_H_
 #define WIDEN_OBS_TRACE_H_
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 
+#include "obs/stage.h"
 #include "util/status.h"
 
 namespace widen::obs {
 
 namespace internal_trace {
 
-extern std::atomic<bool> g_trace_enabled;  // default: false
-
 struct Event {
-  const char* name;  // static string — spans take string literals
-  const char* category;
-  int64_t start_us;  // since recorder epoch
+  Stage stage;
+  int64_t start_us;  // MonotonicMicros()
   int64_t duration_us;
-  int depth;  // nesting depth within the thread, for tests
 };
 
 // Appends to this thread's buffer (registers the buffer on first use).
 void AppendEvent(const Event& event);
 
-int64_t NowMicros();
-
-// Thread-local span nesting depth; maintained only while tracing.
-int& ThreadSpanDepth();
-
 }  // namespace internal_trace
-
-/// True while spans are being recorded.
-inline bool TraceEnabled() {
-  return internal_trace::g_trace_enabled.load(std::memory_order_relaxed);
-}
 
 /// Process-wide collector of trace events.
 class TraceRecorder {
@@ -80,13 +59,15 @@ class TraceRecorder {
   std::string ExportChromeJson() const;
   Status WriteChromeJson(const std::string& path) const;
 
-  /// Writes the buffered events to the path registered with
-  /// InstallTraceExportOnExit and clears the buffers, so a long-running
-  /// server can checkpoint its trace mid-flight (SIGQUIT, /tracez) instead
-  /// of waiting for exit. OK no-op when no exit path is installed.
+  /// Moves the buffered events to the path registered with
+  /// InstallTraceExportOnExit, so a long-running server can checkpoint its
+  /// trace mid-flight (SIGQUIT, /tracez) instead of waiting for exit. Each
+  /// event lands in exactly one flushed file, stays buffered, or is counted
+  /// in DroppedCount() (also when the write fails). OK no-op when no exit
+  /// path is installed.
   Status Flush();
 
-  /// Buffers stop growing past this many events in total; spans beyond the
+  /// Buffers stop growing past this many events in total; events beyond the
   /// cap are dropped and counted (widen_trace_dropped_spans_total and
   /// DroppedCount()). Runtime-settable backstop for long-running servers;
   /// raising the cap resumes recording, it never truncates what is buffered.
@@ -94,42 +75,11 @@ class TraceRecorder {
   static size_t MaxEvents();
   static constexpr size_t kDefaultMaxEvents = 1u << 20;
 
-  /// Spans dropped at the cap since process start (not reset by Clear()).
+  /// Events dropped since process start (not reset by Clear()).
   size_t DroppedCount() const;
 
  private:
   TraceRecorder() = default;
-};
-
-/// RAII trace scope. `name` and `category` must be string literals (or
-/// otherwise outlive the recorder) — spans store the pointers.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name, const char* category = "widen")
-      : name_(nullptr) {
-    if (TraceEnabled()) {
-      name_ = name;
-      category_ = category;
-      start_us_ = internal_trace::NowMicros();
-      depth_ = internal_trace::ThreadSpanDepth()++;
-    }
-  }
-  ~TraceSpan() {
-    if (name_ != nullptr) {
-      --internal_trace::ThreadSpanDepth();
-      internal_trace::AppendEvent(
-          {name_, category_, start_us_,
-           internal_trace::NowMicros() - start_us_, depth_});
-    }
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* name_;
-  const char* category_ = nullptr;
-  int64_t start_us_ = 0;
-  int depth_ = 0;
 };
 
 /// Installs the WIDEN_TRACE handling for a CLI: if `trace_out` (from a
@@ -139,14 +89,5 @@ class TraceSpan {
 void InstallTraceExportOnExit(const std::string& trace_out);
 
 }  // namespace widen::obs
-
-// Spans a scope with an auto-named local. Usage:
-//   WIDEN_TRACE_SPAN("train_epoch");
-//   WIDEN_TRACE_SPAN("embed", "serve");
-#define WIDEN_TRACE_SPAN(...)                         \
-  ::widen::obs::TraceSpan WIDEN_TRACE_CONCAT_(        \
-      widen_trace_span_, __LINE__)(__VA_ARGS__)
-#define WIDEN_TRACE_CONCAT_(a, b) WIDEN_TRACE_CONCAT2_(a, b)
-#define WIDEN_TRACE_CONCAT2_(a, b) a##b
 
 #endif  // WIDEN_OBS_TRACE_H_

@@ -8,7 +8,7 @@
 #include "core/encoder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "tensor/inference.h"
 #include "tensor/ops.h"
 #include "util/string_util.h"
@@ -18,11 +18,11 @@ namespace {
 
 namespace T = widen::tensor;
 
-// Serving metrics, resolved once. Histograms back the p50/p99 the serve CLI
-// prints; the hit/miss counters mirror the session's internal atomics so the
-// store's behaviour shows up in --metrics_out dumps.
+// Serving metrics, resolved once (the Embed latency histogram behind the
+// p50/p99 the serve CLI prints is the `embed` stage's). The hit/miss
+// counters mirror the session's internal atomics so the store's behaviour
+// shows up in --metrics_out dumps.
 struct ServeMetrics {
-  obs::Histogram* embed_us;
   obs::Histogram* embed_batch_nodes;
   obs::Counter* base_hits;
   obs::Counter* store_hits;
@@ -34,9 +34,6 @@ struct ServeMetrics {
 
   static const ServeMetrics& Get() {
     static const ServeMetrics m = {
-        obs::MetricsRegistry::Get().GetHistogram(
-            "widen_serve_embed_us",
-            "Wall time per InferenceSession::Embed call (microseconds)"),
         obs::MetricsRegistry::Get().GetHistogram(
             "widen_serve_embed_batch_nodes",
             "Nodes requested per Embed call"),
@@ -205,11 +202,7 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
 StatusOr<tensor::Tensor> InferenceSession::Embed(
     const std::vector<graph::NodeId>& nodes, EmbedReport* report) {
   const ServeMetrics& metrics = ServeMetrics::Get();
-  WIDEN_TRACE_SPAN("embed", "serve");
-  // Warm phase covers the whole call; cold encodes re-scope themselves below
-  // (including on pool threads, which carry no inherited phase).
-  obs::ScopedProfPhase phase_scope(obs::ProfPhase::kServeWarm);
-  obs::ScopedLatencyTimer embed_timer(metrics.embed_us);
+  obs::StageScope embed_stage(obs::Stage::kEmbed);
   metrics.embed_batch_nodes->Record(static_cast<double>(nodes.size()));
   std::shared_lock<std::shared_mutex> graph_lock(graph_mu_);
   const int64_t n = view_.num_nodes();
@@ -260,13 +253,15 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
   }
 
   if (!cold.empty()) {
-    WIDEN_TRACE_SPAN("cold_encode", "serve");
+    obs::StageScope cold_stage(obs::Stage::kColdEncode);
     metrics.store_misses->Add(static_cast<int64_t>(cold.size()));
     const BaseRepSource reps(&weights_.cache_reps, &base_valid_, d);
     // Rows are disjoint and every cold node draws from its own RNG stream
     // (EvalSeedForNode), so fan-out order cannot change any bit.
     auto encode_one = [&](size_t k) {
-      obs::ScopedProfPhase cold_scope(obs::ProfPhase::kServeCold);
+      // Pool threads inherit no stage; each encode names the fan-out scope
+      // as its parent so the fan-out's self time stays closed.
+      obs::StageScope node_stage(obs::Stage::kColdEncode, &cold_stage);
       T::InferenceScope inference;
       const graph::NodeId v = nodes[cold[k]];
       T::Tensor mean =
@@ -308,7 +303,7 @@ StatusOr<std::vector<int32_t>> InferenceSession::Predict(
 
 StatusOr<uint64_t> InferenceSession::Ingest(const GraphDelta& delta) {
   const ServeMetrics& metrics = ServeMetrics::Get();
-  WIDEN_TRACE_SPAN("ingest", "serve");
+  obs::StageScope ingest_stage(obs::Stage::kIngest);
   std::unique_lock<std::shared_mutex> graph_lock(graph_mu_);
   WIDEN_ASSIGN_OR_RETURN(std::vector<graph::NodeId> touched,
                          view_.Apply(delta));

@@ -7,7 +7,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -321,7 +321,7 @@ void RequestBatcher::WorkerLoop() {
 
 void RequestBatcher::RunBatch(const std::shared_ptr<InferenceSession>& session,
                               std::vector<Pending> batch) {
-  WIDEN_TRACE_SPAN("run_batch", "serve");
+  obs::StageScope batch_stage(obs::Stage::kRunBatch);
   std::vector<graph::NodeId> all;
   for (const Pending& p : batch) {
     all.insert(all.end(), p.nodes.begin(), p.nodes.end());

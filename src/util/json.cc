@@ -368,4 +368,11 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+std::string JsonDouble(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return std::string(buf);
+}
+
 }  // namespace widen

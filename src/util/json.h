@@ -78,6 +78,10 @@ class Json {
 /// backslashes, control characters).
 std::string JsonEscape(const std::string& s);
 
+/// A number for a hand-written JSON document: %.9g, or null for NaN and
+/// infinities (JSON has no literal for them).
+std::string JsonDouble(double v);
+
 }  // namespace widen
 
 #endif  // WIDEN_UTIL_JSON_H_

@@ -46,7 +46,7 @@ const char* Basename(const char* path) {
 }
 
 // "HH:MM:SS.uuuuuu" wall-clock prefix so stderr lines can be ordered and
-// matched against trace spans from the same thread id.
+// matched against trace events from the same thread id.
 void FormatTimestamp(char (&buf)[24]) {
   const auto now = std::chrono::system_clock::now();
   const std::time_t seconds = std::chrono::system_clock::to_time_t(now);

@@ -2,11 +2,14 @@
 // histogram percentile error bounds, concurrency (CI runs this binary under
 // ThreadSanitizer), Chrome trace JSON well-formedness via a real JSON
 // parse-back (the shared util/json parser), roofline-profiler FLOP/byte
-// exactness against closed-form counts, and the contract that disabled
-// paths never allocate.
+// exactness against closed-form counts, closed stage accounting, and the
+// contract that disabled paths never allocate.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -17,12 +20,15 @@
 #include "obs/memprof.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/stage.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/file_util.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/threadpool.h"
+#include "util/timer.h"
 
 // ---------------------------------------------------------------------------
 // Allocation counting: every global operator new bumps a counter, so tests
@@ -319,16 +325,12 @@ TEST(TraceTest, ChromeJsonRoundTripsThroughParser) {
   recorder.Clear();
   recorder.Start();
   {
-    WIDEN_TRACE_SPAN("outer", "test");
-    {
-      WIDEN_TRACE_SPAN("inner", "test");
-    }
+    StageScope outer(Stage::kTrainEpoch);
+    StageScope inner(Stage::kForward);
   }
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([] {
-      WIDEN_TRACE_SPAN("worker", "test");
-    });
+    threads.emplace_back([] { StageScope worker(Stage::kRunBatch); });
   }
   for (std::thread& t : threads) t.join();
   recorder.Stop();
@@ -352,7 +354,10 @@ TEST(TraceTest, ChromeJsonRoundTripsThroughParser) {
     ASSERT_NE(e.Find("dur"), nullptr);
     EXPECT_GE(e.Find("ts")->number_value(), 0.0);
     EXPECT_GE(e.Find("dur")->number_value(), 0.0);
-    if (e.Find("name")->string_value() == "worker") ++workers;
+    if (e.Find("name")->string_value() == "run_batch") {
+      ++workers;
+      EXPECT_EQ(e.Find("cat")->string_value(), "serve");
+    }
   }
   EXPECT_EQ(workers, 2);
 
@@ -365,19 +370,94 @@ TEST(TraceTest, ChromeJsonRoundTripsThroughParser) {
   recorder.Clear();
 }
 
-TEST(TraceTest, NestedSpansRecordTheirDepth) {
+// An event's [ts, ts + dur] interval lies inside its enclosing stage's, on
+// the shared MonotonicMicros axis.
+TEST(TraceTest, NestedStagesNestInTime) {
   TraceRecorder& recorder = TraceRecorder::Get();
   recorder.Clear();
   recorder.Start();
+  const int64_t before_us = MonotonicMicros();
   {
-    TraceSpan outer("depth_outer", "test");
-    TraceSpan inner("depth_inner", "test");
+    StageScope outer(Stage::kTrainEpoch);
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    {
+      StageScope inner(Stage::kForward);
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
   }
+  const int64_t after_us = MonotonicMicros();
   recorder.Stop();
-  // Inner closes first; both landed. Depth is visible through export order
-  // only, but EventCount proves both were kept.
-  EXPECT_EQ(recorder.EventCount(), 2u);
+
+  const Json root = ParseJsonOrDie(recorder.ExportChromeJson());
   recorder.Clear();
+  const Json* outer = nullptr;
+  const Json* inner = nullptr;
+  for (const Json& e : root.Find("traceEvents")->array_items()) {
+    if (e.Find("name")->string_value() == "train_epoch") outer = &e;
+    if (e.Find("name")->string_value() == "forward") inner = &e;
+  }
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  const auto ts = [](const Json* e) { return e->Find("ts")->int_value(); };
+  const auto end = [&](const Json* e) {
+    return ts(e) + e->Find("dur")->int_value();
+  };
+  EXPECT_LE(before_us, ts(outer));
+  EXPECT_LT(ts(outer), ts(inner));
+  EXPECT_LT(end(inner), end(outer));
+  EXPECT_LE(end(outer), after_us);
+  EXPECT_GE(inner->Find("dur")->int_value(), 300);
+  EXPECT_GE(outer->Find("dur")->int_value(), 900);
+}
+
+// Every recorded event lands in exactly one flushed file, stays buffered, or
+// is counted as dropped — also for events recorded while a flush is writing.
+TEST(TraceTest, FlushLosesNoEventsUnderConcurrentWriters) {
+  const std::string path =
+      ::testing::TempDir() + "obs_test_flush_trace.json";
+  std::remove(path.c_str());
+  TraceRecorder& recorder = TraceRecorder::Get();
+  recorder.Clear();
+  const size_t max_events = TraceRecorder::MaxEvents();
+  TraceRecorder::SetMaxEvents(4096);  // small enough that some drop
+  const size_t dropped_before = recorder.DroppedCount();
+  // Flush() writes to the at-exit path, which can be installed only once.
+  static const bool installed = (InstallTraceExportOnExit(path), true);
+  (void)installed;
+  recorder.Start();
+
+  constexpr int kWriters = 4;
+  constexpr int kStagesPerWriter = 20000;
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&running] {
+      for (int i = 0; i < kStagesPerWriter; ++i) {
+        StageScope stage(Stage::kRunBatch);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  size_t flushed = 0;
+  int flushes = 0;
+  while (running.load() > 0) {
+    ASSERT_TRUE(recorder.Flush().ok());
+    auto text = ReadFileToString(path);
+    ASSERT_TRUE(text.ok());
+    flushed += ParseJsonOrDie(*text).Find("traceEvents")->array_items().size();
+    ++flushes;
+  }
+  for (std::thread& t : writers) t.join();
+  recorder.Stop();
+
+  EXPECT_GT(flushes, 0);
+  EXPECT_EQ(flushed + recorder.EventCount() +
+                (recorder.DroppedCount() - dropped_before),
+            static_cast<size_t>(kWriters * kStagesPerWriter));
+  recorder.Clear();
+  TraceRecorder::SetMaxEvents(max_events);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -390,20 +470,31 @@ TEST(DisabledPathTest, NoAllocationsAndNoRecording) {
   Counter* c = registry.GetCounter("test_disabled_total", "frozen");
   Gauge* g = registry.GetGauge("test_disabled_gauge", "frozen");
   Histogram* h = registry.GetHistogram("test_disabled_us", "frozen");
+  Histogram* embed_us = StageHistogram(Stage::kEmbed);
+  Histogram* walk_us = StageHistogram(Stage::kDeepWalk);
+  ASSERT_NE(embed_us, nullptr);
+  ASSERT_NE(walk_us, nullptr);
   c->Add(1);
   g->Set(4.0);
   h->Record(1.0);
-  TraceRecorder::Get().Stop();  // tracing off
-
+  const int64_t embed_count = embed_us->TotalCount();
+  const int64_t walk_count = walk_us->TotalCount();
+  // Every switch off.
+  TraceRecorder::Get().Stop();
+  TraceRecorder::Get().Clear();
+  Profiler::Get().Stop();
+  Profiler::Get().Reset();
   SetMetricsEnabled(false);
+
   const int64_t allocations_before =
       g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 10000; ++i) {
     c->Increment();
     g->Set(9.0);
     h->Record(123.0);
-    ScopedLatencyTimer timer(h);
-    WIDEN_TRACE_SPAN("disabled", "test");
+    StageScope embed(Stage::kEmbed);
+    StageScope walk(Stage::kDeepWalk);
+    StageScope forward(Stage::kForward);
   }
   const int64_t allocations_after =
       g_allocations.load(std::memory_order_relaxed);
@@ -413,19 +504,25 @@ TEST(DisabledPathTest, NoAllocationsAndNoRecording) {
   EXPECT_EQ(c->Value(), 1);            // frozen while disabled
   EXPECT_DOUBLE_EQ(g->Value(), 4.0);
   EXPECT_EQ(h->TotalCount(), 1);
+  EXPECT_EQ(embed_us->TotalCount(), embed_count);
+  EXPECT_EQ(walk_us->TotalCount(), walk_count);
+  EXPECT_EQ(TraceRecorder::Get().EventCount(), 0u);
+  for (const Stage stage : {Stage::kEmbed, Stage::kDeepWalk, Stage::kForward}) {
+    EXPECT_EQ(Profiler::Get().StageSelfNs(stage), 0) << StageName(stage);
+  }
 }
 
 TEST(DisabledPathTest, ProfilerHooksAreFreeAndRecordNothing) {
   Profiler& profiler = Profiler::Get();
   profiler.Stop();
   profiler.Reset();
-  ResetMemProf();
+  TraceRecorder::Get().Stop();
   ASSERT_FALSE(ProfilerEnabled());
 
   const int64_t allocations_before =
       g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 10000; ++i) {
-    ScopedProfPhase phase(ProfPhase::kForward);
+    StageScope stage(Stage::kForward);
     ScopedOpProfile op(ProfOp::kMatMul, 1000, 4000);
     ProfileParallelDispatch(4);
     MemProfRecordTensorAlloc(64);
@@ -437,11 +534,11 @@ TEST(DisabledPathTest, ProfilerHooksAreFreeAndRecordNothing) {
 
   EXPECT_EQ(allocations_after - allocations_before, 0);
   EXPECT_EQ(profiler.Totals(ProfOp::kMatMul).calls, 0);
-  EXPECT_EQ(profiler.PhaseWallNs(ProfPhase::kForward), 0);
+  EXPECT_EQ(profiler.StageSelfNs(Stage::kForward), 0);
   const MemProfSnapshot mem = TakeMemProfSnapshot();
-  for (int p = 0; p < kNumProfPhases; ++p) {
-    EXPECT_EQ(mem.phases[p].tensor_allocs, 0) << "phase " << p;
-    EXPECT_EQ(mem.phases[p].tape_nodes, 0) << "phase " << p;
+  for (int s = 0; s < kNumStages; ++s) {
+    EXPECT_EQ(mem.stages[s].tensor_allocs, 0) << "stage " << s;
+    EXPECT_EQ(mem.stages[s].tape_nodes, 0) << "stage " << s;
   }
 }
 
@@ -507,11 +604,10 @@ TEST_F(ProfilerExactnessTest, MatMulBackwardCountsAreExactAndPhased) {
   EXPECT_EQ(totals.bytes,
             4 * (passes * m * n + (k * n + 2 * m * k) + (m * k + 2 * k * n)));
   // Backward() forces the backward phase on its own: the whole pass must be
-  // attributed there even though this test never opened a phase scope.
-  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, ProfPhase::kBackward).calls,
+  // attributed there even though this test never opened a stage scope.
+  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, Stage::kBackward).calls,
             1);
-  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, ProfPhase::kOther).calls,
-            0);
+  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, Stage::kOther).calls, 0);
 }
 
 TEST_F(ProfilerExactnessTest, SoftmaxRowsCountsAreExact) {
@@ -536,14 +632,76 @@ TEST_F(ProfilerExactnessTest, PhaseScopesAttributeOpsAndSelfTime) {
   T::Tensor a = Filled(m, k);
   T::Tensor b = Filled(k, n);
   {
-    ScopedProfPhase phase(ProfPhase::kSampling);
-    T::Tensor c = T::MatMul(a, b);
+    StageScope forward(Stage::kForward);
+    {
+      StageScope sampling(Stage::kSampling);
+      T::Tensor c = T::MatMul(a, b);
+    }
+    T::Tensor d = T::MatMul(a, b);  // back in the enclosing stage
   }
-  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, ProfPhase::kSampling).calls,
-            1);
-  EXPECT_EQ(Profiler::Get().Totals(ProfOp::kMatMul, ProfPhase::kOther).calls,
-            0);
-  EXPECT_GT(Profiler::Get().PhaseWallNs(ProfPhase::kSampling), 0);
+  const Profiler& prof = Profiler::Get();
+  EXPECT_EQ(prof.Totals(ProfOp::kMatMul, Stage::kSampling).calls, 1);
+  EXPECT_EQ(prof.Totals(ProfOp::kMatMul, Stage::kForward).calls, 1);
+  EXPECT_EQ(prof.Totals(ProfOp::kMatMul, Stage::kOther).calls, 0);
+  EXPECT_GT(prof.StageSelfNs(Stage::kSampling), 0);
+  EXPECT_GT(prof.StageSelfNs(Stage::kForward), 0);
+}
+
+// Closed accounting: the self times of a stage tree — nested scopes and one
+// run on a pool thread on behalf of its parent — sum to the root's elapsed
+// wall time.
+TEST_F(ProfilerExactnessTest, StageSelfTimesSumToRootElapsed) {
+  const auto work = [](int micros) {
+    std::this_thread::sleep_for(std::chrono::microseconds(micros));
+  };
+  ThreadPool pool(1);
+  std::thread::id pool_thread;
+  StopWatch watch;
+  {
+    StageScope root(Stage::kTrainEpoch);
+    work(2000);
+    {
+      StageScope forward(Stage::kForward);
+      work(2000);
+      StageScope backward(Stage::kBackward);
+      work(1000);
+    }
+    {
+      StageScope fan_out(Stage::kColdEncode);
+      pool.Schedule([&] {
+        StageScope worker(Stage::kColdEncode, &fan_out);
+        pool_thread = std::this_thread::get_id();
+        work(3000);
+      });
+      pool.WaitIdle();
+    }
+    work(1000);
+  }
+  const double elapsed_ns = watch.ElapsedSeconds() * 1e9;
+  ASSERT_NE(pool_thread, std::this_thread::get_id());
+
+  int64_t self_sum_ns = 0;
+  for (int s = 0; s < kNumStages; ++s) {
+    self_sum_ns += Profiler::Get().StageSelfNs(static_cast<Stage>(s));
+  }
+  const double tolerance_ns = std::max(0.01 * elapsed_ns, 50e3);
+  EXPECT_NEAR(static_cast<double>(self_sum_ns), elapsed_ns, tolerance_ns);
+  // The pool thread's time is its own stage's, not the root's.
+  EXPECT_GE(Profiler::Get().StageSelfNs(Stage::kColdEncode), 3000 * 1000);
+  EXPECT_LT(Profiler::Get().StageSelfNs(Stage::kTrainEpoch),
+            static_cast<int64_t>(elapsed_ns) - 3000 * 1000);
+}
+
+// Annotation keys and values reach the report byte for byte, control
+// characters included.
+TEST_F(ProfilerExactnessTest, AnnotationsRoundTripThroughDumpJson) {
+  const std::string value = "a\nb\t\x01";
+  SetProfileAnnotation("k", value);
+  const Json root = ParseJsonOrDie(Profiler::Get().DumpJson());
+  const Json* annotations = root.Find("annotations");
+  ASSERT_NE(annotations, nullptr);
+  ASSERT_NE(annotations->Find("k"), nullptr);
+  EXPECT_EQ(annotations->Find("k")->string_value(), value);
 }
 
 TEST_F(ProfilerExactnessTest, DumpJsonParsesAndCarriesAnalyticFlops) {
