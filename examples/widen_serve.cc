@@ -311,9 +311,8 @@ int ServeUntilDrained(serve::net::NetServer* server, SignalWatcher& watcher) {
   return 0;
 }
 
-int RunSmoke(int64_t clients, int64_t queries,
-             tensor::QuantFormat weight_quant, int listen_port, int admin_port,
-             long slo_ms, SignalWatcher& watcher) {
+int RunSmoke(int64_t clients, int64_t queries, int listen_port,
+             int admin_port, long slo_ms, SignalWatcher& watcher) {
   // 1. Synthesize and train (two epochs — enough to populate the embedding
   //    store the checkpoint carries).
   datasets::SyntheticGraphSpec spec;
@@ -345,14 +344,9 @@ int RunSmoke(int64_t clients, int64_t queries,
   }  // trainer "killed" — from here on only the file and the graph exist
 
   // 2. Load the checkpoint into a serving session.
-  serve::SessionOptions session_options;
-  session_options.weight_quant = weight_quant;
-  auto session_or =
-      serve::InferenceSession::Load(ckpt, &*graph, config, session_options);
+  auto session_or = serve::InferenceSession::Load(ckpt, &*graph, config);
   if (!session_or.ok()) return Fail(session_or.status());
   serve::InferenceSession& session = **session_or;
-  std::printf("serving weights: %s\n",
-              tensor::QuantFormatName(weight_quant));
 
   auto served = session.Embed(probe);
   if (!served.ok()) return Fail(served.status());
@@ -440,12 +434,9 @@ int RunSmoke(int64_t clients, int64_t queries,
     server_options.port = listen_port;
     server_options.slo_warn_ms = slo_ms;
     server_options.reload_fn =
-        [&graph, ckpt, config,
-         weight_quant]() -> StatusOr<std::shared_ptr<serve::InferenceSession>> {
-      serve::SessionOptions session_options;
-      session_options.weight_quant = weight_quant;
-      auto fresh =
-          serve::InferenceSession::Load(ckpt, &*graph, config, session_options);
+        [&graph, ckpt,
+         config]() -> StatusOr<std::shared_ptr<serve::InferenceSession>> {
+      auto fresh = serve::InferenceSession::Load(ckpt, &*graph, config);
       if (!fresh.ok()) return fresh.status();
       return std::shared_ptr<serve::InferenceSession>(std::move(*fresh));
     };
@@ -471,8 +462,7 @@ int RunSmoke(int64_t clients, int64_t queries,
 // shared_ptr keeps the backing graph alive for exactly as long as anything
 // (including in-flight batches after a hot reload) references the session.
 StatusOr<std::shared_ptr<serve::InferenceSession>> LoadServingBundle(
-    const std::string& graph_path, const std::string& ckpt_path,
-    tensor::QuantFormat weight_quant) {
+    const std::string& graph_path, const std::string& ckpt_path) {
   struct Bundle {
     graph::HeteroGraph graph;
     std::unique_ptr<serve::InferenceSession> session;
@@ -483,12 +473,10 @@ StatusOr<std::shared_ptr<serve::InferenceSession>> LoadServingBundle(
   if (!weights.ok()) return weights.status();
   core::WidenConfig config;
   config.embedding_dim = weights->params.embedding_dim();
-  serve::SessionOptions session_options;
-  session_options.weight_quant = weight_quant;
   auto bundle = std::make_shared<Bundle>();
   bundle->graph = std::move(*graph);
-  auto session = serve::InferenceSession::Load(ckpt_path, &bundle->graph,
-                                               config, session_options);
+  auto session =
+      serve::InferenceSession::Load(ckpt_path, &bundle->graph, config);
   if (!session.ok()) return session.status();
   bundle->session = std::move(*session);
   return std::shared_ptr<serve::InferenceSession>(bundle,
@@ -496,9 +484,9 @@ StatusOr<std::shared_ptr<serve::InferenceSession>> LoadServingBundle(
 }
 
 int RunServe(const std::string& graph_path, const std::string& ckpt_path,
-             tensor::QuantFormat weight_quant, int listen_port, int admin_port,
-             long slo_ms, bool allow_reload, SignalWatcher& watcher) {
-  auto session = LoadServingBundle(graph_path, ckpt_path, weight_quant);
+             int listen_port, int admin_port, long slo_ms, bool allow_reload,
+             SignalWatcher& watcher) {
+  auto session = LoadServingBundle(graph_path, ckpt_path);
   if (!session.ok()) return Fail(session.status());
   std::printf("loaded %s over %s: %lld nodes, %lld dims\n", ckpt_path.c_str(),
               graph_path.c_str(), static_cast<long long>((*session)->num_nodes()),
@@ -509,8 +497,8 @@ int RunServe(const std::string& graph_path, const std::string& ckpt_path,
   if (allow_reload) {
     // Re-reads BOTH files, so a checkpoint (or graph) replaced on disk goes
     // live without dropping a request.
-    options.reload_fn = [graph_path, ckpt_path, weight_quant] {
-      return LoadServingBundle(graph_path, ckpt_path, weight_quant);
+    options.reload_fn = [graph_path, ckpt_path] {
+      return LoadServingBundle(graph_path, ckpt_path);
     };
   }
   auto server = serve::net::NetServer::Start(std::move(*session), options);
@@ -525,7 +513,7 @@ int RunServe(const std::string& graph_path, const std::string& ckpt_path,
 }
 
 int RunEmbed(const std::string& graph_path, const std::string& ckpt_path,
-             const std::string& csv_path, tensor::QuantFormat weight_quant) {
+             const std::string& csv_path) {
   auto graph = graph::LoadGraphText(graph_path);
   if (!graph.ok()) return Fail(graph.status());
   // Serving needs no labels and no training config: recover the embedding
@@ -534,10 +522,7 @@ int RunEmbed(const std::string& graph_path, const std::string& ckpt_path,
   if (!weights.ok()) return Fail(weights.status());
   core::WidenConfig config;
   config.embedding_dim = weights->params.embedding_dim();
-  serve::SessionOptions session_options;
-  session_options.weight_quant = weight_quant;
-  auto session_or = serve::InferenceSession::Load(ckpt_path, &*graph, config,
-                                                  session_options);
+  auto session_or = serve::InferenceSession::Load(ckpt_path, &*graph, config);
   if (!session_or.ok()) return Fail(session_or.status());
 
   std::vector<graph::NodeId> nodes;
@@ -573,20 +558,11 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string trace_out;
   std::string profile_out;
-  std::string quant_name = "none";
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--quant") == 0 && i + 1 < argc) {
-      quant_name = argv[++i];
-      continue;
-    }
-    if (std::strncmp(arg, "--quant=", 8) == 0) {
-      quant_name = arg + 8;
       continue;
     }
     if (std::strcmp(arg, "--listen") == 0 && i + 1 < argc) {
@@ -655,12 +631,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --clients/--queries want positive integers\n");
     return 2;
   }
-  widen::tensor::QuantFormat weight_quant;
-  if (!widen::tensor::ParseQuantFormat(quant_name, &weight_quant)) {
-    std::fprintf(stderr, "error: --quant wants none|int8|fp16, got '%s'\n",
-                 quant_name.c_str());
-    return 2;
-  }
   argc = static_cast<int>(args.size());
   argv = args.data();
   widen::obs::InstallTraceExportOnExit(trace_out);
@@ -682,17 +652,16 @@ int main(int argc, char** argv) {
       dumper = std::make_unique<PeriodicMetricsDumper>(metrics_out);
     }
     if (smoke || argc == 1) {
-      return RunSmoke(clients, queries, weight_quant, listen_port, admin_port,
-                      slo_ms, signal_watcher);
+      return RunSmoke(clients, queries, listen_port, admin_port, slo_ms,
+                      signal_watcher);
     }
     const std::string command = argv[1];
     if (command == "embed" && argc == 5) {
-      return RunEmbed(argv[2], argv[3], argv[4], weight_quant);
+      return RunEmbed(argv[2], argv[3], argv[4]);
     }
     if (command == "serve" && argc == 4) {
-      return RunServe(argv[2], argv[3], weight_quant,
-                      listen_port >= 0 ? listen_port : 0, admin_port, slo_ms,
-                      allow_reload, signal_watcher);
+      return RunServe(argv[2], argv[3], listen_port >= 0 ? listen_port : 0,
+                      admin_port, slo_ms, allow_reload, signal_watcher);
     }
     std::fprintf(stderr,
                  "usage:\n"
@@ -700,9 +669,7 @@ int main(int argc, char** argv) {
                  "  %s embed <graph.txt> <model.ckpt> <out.csv>\n"
                  "  %s serve <graph.txt> <model.ckpt> --listen PORT "
                  "[--reload]\n"
-                 "options: --quant none|int8|fp16  serving weight storage "
-                 "(default exact fp32)\n"
-                 "         --listen PORT  serve the wire protocol on "
+                 "options: --listen PORT  serve the wire protocol on "
                  "127.0.0.1:PORT (0 = ephemeral)\n"
                  "         --reload       allow hot checkpoint reload "
                  "(SIGHUP or wire op)\n"

@@ -68,14 +68,13 @@ enum class ProfOp : uint8_t {
   kSumAll,
   kRowL2Normalize,
   kDropout,
-  kQuantMatMul,  // fused dequant-dot MatMul over int8/fp16 serving weights
 };
-inline constexpr int kNumProfOps = 30;
+inline constexpr int kNumProfOps = 29;
 const char* ProfOpName(ProfOp op);
 
 /// Free-form key/value labels attached to profiler reports so a dump is
-/// attributable to the code path that produced it (active SIMD ISA, serving
-/// weight quantization mode, ...). Last write per key wins; thread-safe.
+/// attributable to the code path that produced it (active SIMD ISA, ...).
+/// Last write per key wins; thread-safe.
 void SetProfileAnnotation(const std::string& key, const std::string& value);
 /// The current value for `key` ("" when unset). Mainly for tests.
 std::string GetProfileAnnotation(const std::string& key);
@@ -214,10 +213,12 @@ class Profiler {
   /// WIDEN_ROOFLINE_GFLOPS / WIDEN_ROOFLINE_GBS environment variables.
   double RidgeFlopsPerByte() const;
 
-  // Documented scalar-CPU roofline defaults (no SIMD yet — ROADMAP item):
-  // ~2 FLOPs/cycle at ~4 GHz against ~10 GB/s sustained single-core DRAM
-  // bandwidth. Deliberately round numbers; the classification only needs
-  // the right order of magnitude.
+  // Documented scalar-code roofline defaults: ~2 FLOPs/cycle at ~4 GHz
+  // against ~10 GB/s sustained single-core DRAM bandwidth. Deliberately
+  // round numbers; the classification only needs the right order of
+  // magnitude. The vectorized kernels (tensor/simd/) can exceed this compute
+  // peak (AVX2 MatMul reaches ~43 GFLOP/s at 256^3); set
+  // WIDEN_ROOFLINE_GFLOPS to classify against a vector peak instead.
   static constexpr double kDefaultPeakGflops = 8.0;
   static constexpr double kDefaultPeakGbs = 10.0;
 

@@ -20,12 +20,15 @@ thread_local StageScope* t_innermost = nullptr;
 
 }  // namespace
 
-int64_t MonotonicNanos() {
+int64_t MonotonicNanosAt(std::chrono::steady_clock::time_point t) {
   static const std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - epoch)
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch)
       .count();
+}
+
+int64_t MonotonicNanos() {
+  return MonotonicNanosAt(std::chrono::steady_clock::now());
 }
 
 Histogram* StageHistogram(Stage stage) {

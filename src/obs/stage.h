@@ -38,6 +38,7 @@
 #define WIDEN_OBS_STAGE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 
 #include "obs/metrics.h"
@@ -138,6 +139,9 @@ Histogram* StageHistogram(Stage stage);
 /// Nanoseconds / microseconds since the process-wide steady-clock epoch.
 int64_t MonotonicNanos();
 inline int64_t MonotonicMicros() { return MonotonicNanos() / 1000; }
+/// A steady-clock reading the caller already holds, on the same axis, so
+/// one clock read can feed both a duration and a stamp.
+int64_t MonotonicNanosAt(std::chrono::steady_clock::time_point t);
 
 namespace internal_prof {
 extern std::atomic<bool> g_profiler_enabled;  // default: false

@@ -34,6 +34,20 @@ constexpr uint64_t kWakeTag = 1;
 // this size — amortized O(1) erase instead of per-frame memmove.
 constexpr size_t kCompactThreshold = 1u << 20;
 
+// Output back-pressure. While a connection's queued, unsent reply bytes
+// exceed this, the I/O thread stops reading its requests (EPOLLIN disarmed)
+// and re-arms once HandleWritable drains below it, so a client that
+// pipelines and never reads stalls in its own send() instead of growing the
+// server's memory. 8 MiB is ~32x a full 256-request backlog of 1 KB replies
+// (an Embed of four d = 64 rows); a client that keeps reading never trips it.
+constexpr size_t kMaxQueuedReplyBytes = 8u << 20;
+
+// Bytes read from one connection per readiness event before its frames are
+// parsed. Epoll is level-triggered, so the rest is read on the next pass;
+// without the cap a fast sender keeps one read loop (and `in`) growing, and
+// the back-pressure check above never runs between reads.
+constexpr size_t kMaxReadBytesPerEvent = 1u << 20;
+
 struct NetMetrics {
   obs::Counter* requests;
   obs::Counter* responses;
@@ -456,10 +470,11 @@ void NetServer::CloseConn(uint64_t conn_id) {
 
 void NetServer::HandleReadable(Conn* conn) {
   char buf[65536];
-  while (true) {
+  for (size_t read_bytes = 0; read_bytes < kMaxReadBytesPerEvent;) {
     const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
     if (n > 0) {
       conn->in.append(buf, static_cast<size_t>(n));
+      read_bytes += static_cast<size_t>(n);
       continue;
     }
     if (n == 0) {
@@ -579,7 +594,6 @@ void NetServer::DispatchRequest(Conn* conn, NetRequest request) {
       (request.op == NetOp::kEmbed || request.op == NetOp::kPredict)) {
     ctx = std::make_shared<RequestContext>();
     ctx->trace_id = request.trace_id;
-    ctx->trace_flags = request.trace_flags;
     ctx->request_id = request.id;
     ctx->op = static_cast<uint8_t>(request.op);
     ctx->admitted_us = obs::MonotonicMicros();
@@ -752,6 +766,7 @@ void NetServer::Reply(Conn* conn, const NetResponse& response) {
 }
 
 void NetServer::QueueBytes(Conn* conn, std::string frame) {
+  conn->out_bytes += frame.size();
   conn->out.push_back(std::move(frame));
   HandleWritable(conn);
 }
@@ -768,21 +783,25 @@ void NetServer::HandleWritable(Conn* conn) {
       break;
     }
     conn->out_offset += static_cast<size_t>(n);
+    conn->out_bytes -= static_cast<size_t>(n);
     if (conn->out_offset == front.size()) {
       conn->out.pop_front();
       conn->out_offset = 0;
     }
   }
   const bool want_write = !conn->out.empty() && !conn->broken;
-  if (want_write != conn->want_write) {
+  const bool want_read = conn->out_bytes <= kMaxQueuedReplyBytes;
+  if (want_write != conn->want_write || want_read != conn->want_read) {
     conn->want_write = want_write;
+    conn->want_read = want_read;
     UpdateEpoll(conn);
   }
 }
 
 void NetServer::UpdateEpoll(Conn* conn) {
   epoll_event ev{};
-  ev.events = EPOLLIN | (conn->want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
+  ev.events = (conn->want_read ? static_cast<uint32_t>(EPOLLIN) : 0u) |
+              (conn->want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
   ev.data.u64 = conn->id;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }

@@ -16,6 +16,12 @@
 // kUnavailable response instead of a queue slot — overload fails fast and
 // keeps p99 for admitted traffic honest.
 //
+// Output back-pressure: a connection whose queued, unsent reply bytes pass
+// a fixed cap (kMaxQueuedReplyBytes in server.cc) is not read again until
+// its writes drain below the cap. A client that pipelines requests and
+// never reads its replies therefore stalls in its own send(); the server's
+// memory for it stays bounded and other connections are unaffected.
+//
 // Hot reload: the serving session lives behind a mutex-guarded shared_ptr
 // with a generation counter. Reload() installs a freshly loaded session;
 // batches already in flight hold a shared_ptr to the OLD session and drain
@@ -124,7 +130,9 @@ class NetServer {
     size_t in_consumed = 0;    // parsed prefix of `in` (compacted lazily)
     std::deque<std::string> out;
     size_t out_offset = 0;     // sent prefix of out.front()
+    size_t out_bytes = 0;      // unsent bytes across `out`
     bool peer_closed = false;  // EOF read; flush + close once idle
+    bool want_read = true;     // EPOLLIN armed (off under back-pressure)
     bool want_write = false;   // EPOLLOUT currently armed
     bool broken = false;       // fatal write error; close at next checkpoint
     int64_t awaiting = 0;      // admitted requests not yet answered

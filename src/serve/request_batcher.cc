@@ -176,9 +176,6 @@ void RequestBatcher::Enqueue(Pending pending) {
     ++stats_.requests;
     if (invalid.ok() && !shutting_down_) {
       pending.enqueued_at = std::chrono::steady_clock::now();
-      if (pending.context != nullptr && obs::MetricsEnabled()) {
-        pending.context->enqueued_us = obs::MonotonicMicros();
-      }
       pending_nodes_ += static_cast<int64_t>(pending.nodes.size());
       BatcherMetrics::Get().queue_depth->Set(
           static_cast<double>(pending_nodes_));
@@ -282,7 +279,7 @@ void RequestBatcher::WorkerLoop() {
       metrics.batch_nodes->Record(static_cast<double>(batch_nodes));
       if (obs::MetricsEnabled()) {
         const auto formed = std::chrono::steady_clock::now();
-        const int64_t formed_us = obs::MonotonicMicros();
+        const int64_t formed_us = obs::MonotonicNanosAt(formed) / 1000;
         for (Pending& p : batch) {
           metrics.linger_us->Record(
               std::chrono::duration<double, std::micro>(formed - p.enqueued_at)
@@ -345,7 +342,6 @@ void RequestBatcher::RunBatch(const std::shared_ptr<InferenceSession>& session,
     for (const Pending& p : batch) {
       if (p.context == nullptr) continue;
       p.context->encode_us = encode_us;
-      p.context->base_hits = report.base_hits;
       p.context->store_hits = report.store_hits;
       p.context->cold_encodes = report.cold_encodes;
     }

@@ -13,6 +13,7 @@
 #include "datasets/synthetic.h"
 #include "gtest/gtest.h"
 #include "tensor/init.h"
+#include "util/crc32.h"
 #include "util/file_util.h"
 #include "util/random.h"
 
@@ -36,7 +37,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-// Appends a little-endian scalar; for hand-building legacy v1 files.
+// Appends a little-endian scalar; for hand-building bundle headers.
 template <typename T>
 void Append(std::string* out, T value) {
   const size_t offset = out->size();
@@ -114,122 +115,89 @@ TEST(SerializeTest, RoundTripsBlobsAlongsideTensors) {
   EXPECT_FALSE(SaveBundle(TempPath("clash.wdnt"), clash).ok());
 }
 
-TEST(SerializeTest, RoundTripsQuantRecordsAndReattachesSidecars) {
-  Rng rng(9);
-  Tensor w = NormalInit(Shape::Matrix(4, 40), rng, 1.0f);
-  Bundle bundle;
-  bundle.tensors = {{"w", w}};
-  // One sidecar (same name as "w") and one standalone quant record.
-  bundle.quants = {{"w", QuantizeMatrix(w, QuantFormat::kInt8Block32)},
-                   {"standalone", QuantizeMatrix(w, QuantFormat::kFp16)}};
-  const std::string path = TempPath("quant.wdnt");
-  ASSERT_TRUE(SaveBundle(path, bundle).ok());
+TEST(SerializeTest, RejectsRetiredBundleVersions) {
+  // Version 1: the pre-checksum format (magic, version, count, then
+  // name-length/name/rank/dims/data per tensor — no CRCs, no footer).
+  std::string v1;
+  v1.append("WDNT", 4);
+  Append<uint32_t>(&v1, 1);  // version
+  Append<uint64_t>(&v1, 1);  // tensor count
+  Append<uint32_t>(&v1, 3);  // name length
+  v1.append("abc", 3);
+  Append<uint32_t>(&v1, 2);  // rank
+  Append<uint64_t>(&v1, 1);
+  Append<uint64_t>(&v1, 2);
+  Append<float>(&v1, 5.0f);
+  Append<float>(&v1, -6.5f);
+  const std::string v1_path = TempPath("retired_v1.wdnt");
+  WriteFileBytes(v1_path, v1);
 
-  auto loaded = LoadBundle(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->quants.size(), 2u);
-  const QuantMatrix& qi = loaded->quants[0].second;
-  EXPECT_EQ(loaded->quants[0].first, "w");
-  EXPECT_EQ(qi.format, QuantFormat::kInt8Block32);
-  EXPECT_EQ(qi.q, bundle.quants[0].second.q);
-  EXPECT_EQ(qi.scales, bundle.quants[0].second.scales);
-  const QuantMatrix& qh = loaded->quants[1].second;
-  EXPECT_EQ(qh.format, QuantFormat::kFp16);
-  EXPECT_EQ(qh.half, bundle.quants[1].second.half);
+  // Version 3: an otherwise intact v2 file (valid record and whole-file
+  // CRCs) whose version field says 3, the retired quantized-weights format.
+  const std::string v2_path = TempPath("retired_v2_source.wdnt");
+  ASSERT_TRUE(SaveTensors(v2_path, {{"abc", Tensor::Scalar(5.0f)}}).ok());
+  std::string v3 = ReadFileBytes(v2_path);
+  ASSERT_GT(v3.size(), 24u);
+  const uint32_t version = 3;
+  std::memcpy(v3.data() + 4, &version, sizeof(version));
+  const size_t footer_crc_at = v3.size() - sizeof(uint32_t);
+  const size_t footer_at = footer_crc_at - sizeof(uint64_t) - 4;
+  const uint32_t file_crc = Crc32c(v3.data(), footer_at);
+  std::memcpy(v3.data() + footer_crc_at, &file_crc, sizeof(file_crc));
+  const std::string v3_path = TempPath("retired_v3.wdnt");
+  WriteFileBytes(v3_path, v3);
 
-  // The same-named record came back attached to its tensor as a sidecar.
-  ASSERT_EQ(loaded->tensors.size(), 1u);
-  const QuantMatrix* sidecar = GetQuant(loaded->tensors[0].second);
-  ASSERT_NE(sidecar, nullptr);
-  EXPECT_EQ(sidecar->format, QuantFormat::kInt8Block32);
-
-  // Files without quant records keep the pre-quant version and an empty
-  // quants list.
-  const std::string plain = TempPath("plain_noquant.wdnt");
-  Bundle no_quants;
-  no_quants.tensors = {{"w", w}};
-  ASSERT_TRUE(SaveBundle(plain, no_quants).ok());
-  auto plain_loaded = LoadBundle(plain);
-  ASSERT_TRUE(plain_loaded.ok());
-  EXPECT_TRUE(plain_loaded->quants.empty());
-
-  // Corruption inside the quant payload is caught by the record checksums.
-  const std::string bytes = ReadFileBytes(path);
-  std::string mutated_bytes = bytes;
-  mutated_bytes[bytes.size() * 2 / 3] ^= 0x20;
-  const std::string mutated = TempPath("quant_mutated.wdnt");
-  WriteFileBytes(mutated, mutated_bytes);
-  EXPECT_FALSE(LoadBundle(mutated).ok());
-
-  // Malformed quant metadata is rejected at save time.
-  Bundle bad;
-  bad.tensors = {{"w", w}};
-  QuantMatrix none;  // format == kNone
-  none.rows = 4;
-  none.cols = 40;
-  bad.quants = {{"w", none}};
-  EXPECT_FALSE(SaveBundle(TempPath("badquant.wdnt"), bad).ok());
+  for (const auto& [path, name] :
+       {std::pair{v1_path, "version 1"}, std::pair{v3_path, "version 3"}}) {
+    auto loaded = LoadBundle(path);
+    ASSERT_FALSE(loaded.ok()) << name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(loaded.status().message().find(name), std::string::npos)
+        << loaded.status().ToString();
+  }
+  // The untouched v2 source still loads.
+  EXPECT_TRUE(LoadBundle(v2_path).ok());
 }
 
-TEST(SerializeTest, LoadsLegacyV1Files) {
-  // Byte-for-byte the pre-checksum format: magic, version 1, count, then
-  // name-length/name/rank/dims/data per tensor — no CRCs, no footer.
+// Writes the v2 header and one tensor record up to and including its dims;
+// the loader must reject the dims before reading data or any checksum.
+std::string V2TensorHeader(const char* name,
+                           const std::vector<uint64_t>& dims) {
   std::string bytes;
   bytes.append("WDNT", 4);
-  Append<uint32_t>(&bytes, 1);  // version
-  Append<uint64_t>(&bytes, 1);  // tensor count
-  Append<uint32_t>(&bytes, 3);  // name length
-  bytes.append("abc", 3);
-  Append<uint32_t>(&bytes, 2);  // rank
-  Append<uint64_t>(&bytes, 1);
-  Append<uint64_t>(&bytes, 2);
-  Append<float>(&bytes, 5.0f);
-  Append<float>(&bytes, -6.5f);
-  const std::string path = TempPath("legacy.wdnt");
-  WriteFileBytes(path, bytes);
-
-  auto loaded = LoadTensors(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), 1u);
-  EXPECT_EQ((*loaded)[0].first, "abc");
-  ASSERT_TRUE((*loaded)[0].second.shape() == Shape::Matrix(1, 2));
-  EXPECT_FLOAT_EQ((*loaded)[0].second.at(0, 0), 5.0f);
-  EXPECT_FLOAT_EQ((*loaded)[0].second.at(0, 1), -6.5f);
+  Append<uint32_t>(&bytes, 2);  // version
+  Append<uint64_t>(&bytes, 1);  // record count
+  Append<uint8_t>(&bytes, 0);   // tensor record
+  Append<uint32_t>(&bytes, static_cast<uint32_t>(std::strlen(name)));
+  bytes.append(name);
+  Append<uint32_t>(&bytes, static_cast<uint32_t>(dims.size()));  // rank
+  for (uint64_t dim : dims) Append<uint64_t>(&bytes, dim);
+  return bytes;
 }
 
 TEST(SerializeTest, RejectsOverflowingElementCounts) {
   // Dimensions whose product overflows int64 (and far exceeds the element
-  // cap). The legacy loader used to multiply unchecked, so a corrupt file
-  // could size a vector with a wrapped-around count.
-  std::string bytes;
-  bytes.append("WDNT", 4);
-  Append<uint32_t>(&bytes, 1);
-  Append<uint64_t>(&bytes, 1);
-  Append<uint32_t>(&bytes, 1);
-  bytes.append("x", 1);
-  Append<uint32_t>(&bytes, 3);  // rank
-  Append<uint64_t>(&bytes, 1ull << 31);
-  Append<uint64_t>(&bytes, 1ull << 31);
-  Append<uint64_t>(&bytes, 1ull << 31);
+  // cap). An unchecked multiply would size a vector with a wrapped-around
+  // count.
   const std::string path = TempPath("overflow.wdnt");
-  WriteFileBytes(path, bytes);
-
+  WriteFileBytes(path,
+                 V2TensorHeader("x", {1ull << 31, 1ull << 31, 1ull << 31}));
   auto loaded = LoadTensors(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("element count overflow"),
+            std::string::npos)
+      << loaded.status().ToString();
 
-  // A single huge dimension within u64 range but above the cap also fails.
-  std::string big;
-  big.append("WDNT", 4);
-  Append<uint32_t>(&big, 1);
-  Append<uint64_t>(&big, 1);
-  Append<uint32_t>(&big, 1);
-  big.append("y", 1);
-  Append<uint32_t>(&big, 1);
-  Append<uint64_t>(&big, 1ull << 30);  // > element cap, < dim cap
+  // A single huge dimension within the dimension cap but above the element
+  // cap also fails.
   const std::string big_path = TempPath("bigdim.wdnt");
-  WriteFileBytes(big_path, big);
-  EXPECT_FALSE(LoadTensors(big_path).ok());
+  WriteFileBytes(big_path, V2TensorHeader("y", {1ull << 30}));
+  auto big = LoadTensors(big_path);
+  ASSERT_FALSE(big.ok());
+  EXPECT_NE(big.status().message().find("element count overflow"),
+            std::string::npos)
+      << big.status().ToString();
 }
 
 // The headline corruption matrix: an intact v2 bundle is taken apart byte by

@@ -2,11 +2,20 @@
 // over a real TCP socket are BITWISE identical to direct
 // InferenceSession::Embed calls; a hot checkpoint reload mid-traffic loses
 // nothing; a graceful drain answers every admitted request; and overload or
-// expired requests fail with typed statuses, never hangs or resets.
+// expired requests fail with typed statuses, never hangs or resets; and a
+// client that never reads its replies is back-pressured, not buffered.
 
 #include "serve/net/server.h"
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -440,6 +449,82 @@ TEST(NetServerTest, WireDeadlineExpiresTypedInTheQueue) {
   auto response = (*client_or)->Call(EmbedRequest(1, {2}, /*deadline_ms=*/5));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->code, StatusCode::kDeadlineExceeded) << response->error;
+}
+
+// A client that pipelines Health frames and never reads its replies must not
+// grow the server's output queue without bound: past the queued-reply cap
+// the server stops reading that connection, so the client's own send()
+// stalls (EAGAIN with no writability for seconds). An unbounded server keeps
+// draining the socket, and the client sends until kSendBound instead.
+// Meanwhile a well-behaved client on a second connection is still answered.
+TEST(NetServerTest, NonReadingClientIsBackPressuredWhileOthersAreServed) {
+  graph::HeteroGraph chain = ChainGraph(10, 6);
+  const core::WidenConfig config = SmallConfig();
+  const std::string path = WriteColdCheckpoint(chain, config, "net_bp.wdnt");
+  auto server_or =
+      NetServer::Start(LoadSession(path, &chain, config), ServerOptions{});
+  ASSERT_TRUE(server_or.ok());
+  const int port = (*server_or)->port();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // Small client-side buffers keep the kernel's share of the bound small.
+  const int buffer_bytes = 64 << 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &buffer_bytes, sizeof(buffer_bytes));
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buffer_bytes, sizeof(buffer_bytes));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK), 0);
+
+  std::string chunk;
+  for (uint64_t id = 1; chunk.size() < (64u << 10); ++id) {
+    NetRequest health;
+    health.id = id;
+    health.op = NetOp::kHealth;
+    chunk += EncodeRequest(health);
+  }
+  // The server's 8 MiB reply cap is ~2.7 MiB of Health requests; the rest
+  // of the bound covers the loopback socket buffers on both ends.
+  constexpr size_t kSendBound = 32u << 20;
+  size_t sent = 0;
+  size_t offset = 0;
+  bool stalled = false;
+  while (sent < kSendBound) {
+    const ssize_t n = ::send(fd, chunk.data() + offset, chunk.size() - offset,
+                             MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      offset = (offset + static_cast<size_t>(n)) % chunk.size();
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
+                          errno == EINTR))
+        << std::strerror(errno);
+    // A full send buffer is normal while the server catches up; a stall is
+    // one that the server does not relieve for two seconds.
+    pollfd pfd{fd, POLLOUT, 0};
+    if (::poll(&pfd, 1, 2000) == 0) {
+      stalled = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(stalled) << "sent " << sent
+                       << " bytes of Health frames without the server "
+                          "pushing back";
+
+  // The stalled connection does not hold up anyone else.
+  auto client_or = NetClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
+  for (uint64_t id = 1; id <= 5; ++id) {
+    auto response = (*client_or)->Call(EmbedRequest(id, {1, 2}));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->code, StatusCode::kOk) << response->error;
+  }
+  ::close(fd);
 }
 
 }  // namespace
