@@ -91,6 +91,65 @@ void BM_MatMulGrad(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulGrad)->ArgsProduct({{64, 128, 256}, {1, 2, 4, 8}});
 
+// Encoder shapes, single thread: one walk's [21 x 64] packs against a
+// [64 x 64] attention weight, and its queries against the [64 x 21]
+// transposed keys (Q K^T).
+void BM_MatMulEncoder(benchmark::State& state) {
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  Rng rng(1);
+  T::Tensor a = RandomTensor(m, k, false, rng);
+  T::Tensor b = RandomTensor(k, n, false, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(T::MatMul(a, b).data());
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_MatMulEncoder)->Args({21, 64, 64})->Args({21, 64, 21});
+
+void BM_MatMulEncoderGrad(benchmark::State& state) {
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  Rng rng(1);
+  T::Tensor a = RandomTensor(m, k, true, rng);
+  T::Tensor b = RandomTensor(k, n, true, rng);
+  for (auto _ : state) {
+    T::Tensor loss = T::SumAll(T::MatMul(a, b));
+    loss.Backward();
+    benchmark::DoNotOptimize(loss.item());
+    a.ZeroGrad();
+    b.ZeroGrad();
+  }
+  state.SetItemsProcessed(state.iterations() * 3 * m * k * n);
+}
+BENCHMARK(BM_MatMulEncoderGrad)->Args({21, 64, 64})->Args({21, 64, 21});
+
+// One target's deep pass attention (Eq. 4 causal, Eq. 5 one query per
+// walk) over Φ = 4 walks of 21 packs at d = 64; the second argument adds
+// the backward.
+void BM_SegmentAttention(benchmark::State& state) {
+  const bool causal = state.range(0) != 0, grad = state.range(1) != 0;
+  const int64_t walks = 4, len = 21, d = 64;
+  Rng rng(9);
+  T::Tensor q = RandomTensor(causal ? walks * len : walks, d, grad, rng);
+  T::Tensor k = RandomTensor(walks * len, d, grad, rng);
+  T::Tensor v = RandomTensor(walks * len, d, grad, rng);
+  std::vector<int64_t> offsets;
+  for (int64_t w = 0; w <= walks; ++w) offsets.push_back(w * len);
+  for (auto _ : state) {
+    T::Tensor out = T::SegmentAttention(q, k, v, offsets, causal, 0.125f);
+    if (grad) {
+      T::Tensor loss = T::SumAll(out);
+      loss.Backward();
+      benchmark::DoNotOptimize(loss.item());
+      q.ZeroGrad();
+      k.ZeroGrad();
+      v.ZeroGrad();
+    } else {
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+}
+BENCHMARK(BM_SegmentAttention)->Args({0, 0})->Args({1, 0})->Args({1, 1});
+
 void BM_SoftmaxRowsGrad(benchmark::State& state) {
   const int64_t rows = state.range(0), cols = 256;
   T::KernelContext::Get().SetNumThreads(static_cast<int>(state.range(1)));

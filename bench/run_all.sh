@@ -30,7 +30,7 @@ mkdir -p "$OUT_DIR"
 # (every shape x thread-count) is minutes of pure benchmark repetition. The
 # filtered set still covers the dense kernels, both sampling paths, and the
 # serving-attention path that the roofline profiler prices.
-KERNEL_FILTER='BM_(MatMul|MatMulScalar|MatMulGrad|SoftmaxRowsGrad|AttentionSingleQuery|WideSampling|DeepWalkSampling)'
+KERNEL_FILTER='BM_(MatMul|MatMulScalar|MatMulGrad|MatMulEncoder|MatMulEncoderGrad|SegmentAttention|SoftmaxRowsGrad|AttentionSingleQuery|WideSampling|DeepWalkSampling)'
 if [ "${WIDEN_BENCH_FULL:-0}" = "1" ]; then
   KERNEL_FILTER='.'
 fi

@@ -547,6 +547,29 @@ int RunEmbed(const std::string& graph_path, const std::string& ckpt_path,
 
 }  // namespace
 
+void PrintUsage(const char* prog) {
+  std::fprintf(stderr,
+               "usage:\n"
+               "  %s --smoke [--clients N] [--queries M] [--listen PORT]\n"
+               "  %s embed <graph.txt> <model.ckpt> <out.csv>\n"
+               "  %s serve <graph.txt> <model.ckpt> --listen PORT "
+               "[--reload]\n"
+               "options: --listen PORT  serve the wire protocol on "
+               "127.0.0.1:PORT (0 = ephemeral)\n"
+               "         --reload       allow hot checkpoint reload "
+               "(SIGHUP or wire op)\n"
+               "         --admin_port PORT  HTTP introspection plane "
+               "(/healthz /metrics /varz /tracez /profilez; 0 = ephemeral)\n"
+               "         --slo_ms MS    warn (rate-limited) when a request "
+               "exceeds MS; also the admin plane's SLO threshold\n"
+               "         --metrics_out PATH  dump metrics every second and "
+               "on exit\n"
+               "         --trace_out PATH    write a Chrome trace on exit\n"
+               "         --profile_out PATH  profile tensor ops and write "
+               "the roofline report on exit\n",
+               prog, prog, prog);
+}
+
 int main(int argc, char** argv) {
   bool smoke = false;
   long clients = 4;
@@ -631,6 +654,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --clients/--queries want positive integers\n");
     return 2;
   }
+  // An unrecognised flag (or a known one missing its value) would otherwise
+  // be taken as a positional argument, which --smoke ignores.
+  for (size_t i = 1; i < args.size(); ++i) {
+    if (std::strncmp(args[i], "--", 2) == 0) {
+      std::fprintf(stderr, "error: unknown option or missing value: %s\n",
+                   args[i]);
+      PrintUsage(argv[0]);
+      return 2;
+    }
+  }
+  if (smoke && args.size() > 1) {
+    std::fprintf(stderr, "error: --smoke takes no positional arguments\n");
+    PrintUsage(argv[0]);
+    return 2;
+  }
   argc = static_cast<int>(args.size());
   argv = args.data();
   widen::obs::InstallTraceExportOnExit(trace_out);
@@ -663,26 +701,7 @@ int main(int argc, char** argv) {
       return RunServe(argv[2], argv[3], listen_port >= 0 ? listen_port : 0,
                       admin_port, slo_ms, allow_reload, signal_watcher);
     }
-    std::fprintf(stderr,
-                 "usage:\n"
-                 "  %s --smoke [--clients N] [--queries M] [--listen PORT]\n"
-                 "  %s embed <graph.txt> <model.ckpt> <out.csv>\n"
-                 "  %s serve <graph.txt> <model.ckpt> --listen PORT "
-                 "[--reload]\n"
-                 "options: --listen PORT  serve the wire protocol on "
-                 "127.0.0.1:PORT (0 = ephemeral)\n"
-                 "         --reload       allow hot checkpoint reload "
-                 "(SIGHUP or wire op)\n"
-                 "         --admin_port PORT  HTTP introspection plane "
-                 "(/healthz /metrics /varz /tracez /profilez; 0 = ephemeral)\n"
-                 "         --slo_ms MS    warn (rate-limited) when a request "
-                 "exceeds MS; also the admin plane's SLO threshold\n"
-                 "         --metrics_out PATH  dump metrics every second and "
-                 "on exit\n"
-                 "         --trace_out PATH    write a Chrome trace on exit\n"
-                 "         --profile_out PATH  profile tensor ops and write "
-                 "the roofline report on exit\n",
-                 argv[0], argv[0], argv[0]);
+    PrintUsage(argv[0]);
     return 2;
   }();
 

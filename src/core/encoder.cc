@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "obs/stage.h"
 #include "sampling/neighbor_sampler.h"
 #include "sampling/random_walk.h"
 #include "tensor/init.h"
@@ -14,27 +15,6 @@ namespace widen::core {
 namespace {
 
 namespace T = widen::tensor;
-
-// Scaled dot-product attention with a single query row (Eq. 3 / Eq. 5).
-// Returns {context [1, d_v], attention weights as floats}.
-struct SingleQueryAttention {
-  T::Tensor context;
-  std::vector<float> weights;
-};
-
-SingleQueryAttention AttendSingleQuery(const T::Tensor& query_row,
-                                       const T::Tensor& keys,
-                                       const T::Tensor& values,
-                                       int64_t model_dim) {
-  T::Tensor scores = T::Scale(
-      T::MatMul(query_row, T::Transpose(keys)),
-      1.0f / std::sqrt(static_cast<float>(model_dim)));
-  T::Tensor attention = T::SoftmaxRows(scores);
-  SingleQueryAttention out;
-  out.context = T::MatMul(attention, values);
-  out.weights.assign(attention.data(), attention.data() + attention.size());
-  return out;
-}
 
 Status ShapeError(const char* label, const T::Tensor& got,
                   const T::Shape& want) {
@@ -181,122 +161,193 @@ tensor::Tensor ProjectNodes(const graph::GraphView& graph,
   return T::MatMul(features, g_node);
 }
 
-tensor::Tensor LookupReps(const graph::GraphView& graph,
-                          const EncoderParams& params,
-                          const std::vector<graph::NodeId>& nodes,
-                          const RepSource* reps) {
-  const int64_t d = params.embedding_dim();
-  // Differentiable projection x G^node for every neighbor...
-  T::Tensor projected = ProjectNodes(graph, params.g_node, nodes);
-  if (reps == nullptr) return projected;
-  // ...plus a constant residual that shifts each stored node's VALUE to its
-  // multi-hop representation. Straight-through: values come from the store,
-  // gradients still reach G^node through the projection term.
-  T::Tensor residual(projected.shape());
-  float* rp = residual.mutable_data();
-  const float* pp = projected.data();
-  bool any_cached = false;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const float* src = reps->Lookup(nodes[i]);
-    if (src == nullptr) continue;
-    any_cached = true;
-    float* row = rp + static_cast<int64_t>(i) * d;
-    const float* prow = pp + static_cast<int64_t>(i) * d;
-    for (int64_t j = 0; j < d; ++j) row[j] = src[j] - prow[j];
-  }
-  if (!any_cached) return projected;
-  return T::Add(projected, residual);
-}
-
 EncodeResult EncodeTarget(const graph::GraphView& graph,
                           const EncoderParams& params,
                           const WidenConfig& config, TargetState& state,
                           const RepSource* reps, bool keep_artifacts,
-                          Rng& dropout_rng) {
+                          Rng& dropout_rng, const tensor::Tensor* projections) {
   const int64_t d = params.embedding_dim();
-  const graph::NodeTypeId target_type = graph.node_type(state.node);
+  const float attention_scale = 1.0f / std::sqrt(static_cast<float>(d));
+  const bool wide_on = !config.disable_wide;
+  const bool deep_on = !config.disable_deep;
   // Dropout only perturbs gradient-carrying (supervised) forwards; cache
   // refreshes and inference run clean. The tape itself is controlled by
   // NoGradScope at the call sites.
   const bool training = keep_artifacts && !T::NoGradScope::Active();
-  T::Tensor target_embedding = ProjectNodes(graph, params.g_node,
-                                            {state.node});
-
   EncodeResult result;
 
-  // ---- Wide attentive message passing (Eq. 1 + Eq. 3) ----
+  // ---- PACK (Eq. 1-2): every pack of the target in one matrix ----
+  // Row blocks: the wide block [m_t°; W] and then one block [m_t▷; D_φ]
+  // per walk. Each block starts with the target's self-loop pack, so the
+  // target is projected once per block; `groups` lists the neighbor rows
+  // of each block, the unit the store residual is decided on.
+  const int32_t num_edge_types =
+      static_cast<int32_t>(params.edges->edge_table().rows());
+  const int32_t num_node_types =
+      static_cast<int32_t>(params.edges->self_loop_table().rows());
+  const int32_t self_edge = num_edge_types + graph.node_type(state.node);
+  std::vector<int32_t> rows, edge_rows;
+  std::vector<std::pair<int64_t, int64_t>> groups;  // [begin, end) of rows
+  std::vector<int64_t> deep_offsets = {0};  // walk blocks within the deep rows
+  std::vector<float> relays;                // relay rows, appended in order
+  auto add_block = [&](const std::vector<graph::NodeId>& nodes) {
+    rows.push_back(state.node);
+    edge_rows.push_back(self_edge);
+    groups.emplace_back(static_cast<int64_t>(rows.size()),
+                        static_cast<int64_t>(rows.size() + nodes.size()));
+    rows.insert(rows.end(), nodes.begin(), nodes.end());
+  };
+  if (wide_on) {
+    add_block(state.wide.nodes);
+    edge_rows.insert(edge_rows.end(), state.wide.edge_types.begin(),
+                     state.wide.edge_types.end());
+  }
+  const int64_t deep_begin = static_cast<int64_t>(rows.size());
+  if (deep_on) {
+    WIDEN_CHECK(!state.deeps.empty()) << "deep pass needs at least one walk";
+    for (const DeepNeighborState& deep : state.deeps) {
+      WIDEN_CHECK_EQ(deep.nodes.size(), deep.edges.size());
+      add_block(deep.nodes);
+      for (const DeepEdgeSlot& slot : deep.edges) {
+        if (!slot.is_relay()) {
+          edge_rows.push_back(slot.edge_type);
+          continue;
+        }
+        WIDEN_CHECK_EQ(static_cast<int64_t>(slot.relay.size()), d);
+        edge_rows.push_back(num_edge_types + num_node_types +
+                            static_cast<int32_t>(relays.size() / d));
+        relays.insert(relays.end(), slot.relay.begin(), slot.relay.end());
+      }
+      deep_offsets.push_back(static_cast<int64_t>(rows.size()) - deep_begin);
+    }
+  }
+  const int64_t num_rows = static_cast<int64_t>(rows.size());
+
+  T::Tensor packs, dropped;
+  if (num_rows > 0) {
+    obs::StageScope pack_stage(obs::Stage::kEncodePack);
+    T::Tensor values;
+    if (projections != nullptr) {
+      WIDEN_CHECK(T::NoGradScope::Active() || !params.g_node.requires_grad())
+          << "the projection table is for tape-free passes only";
+      values = T::GatherRows(*projections, rows);
+    } else {
+      values = ProjectNodes(graph, params.g_node, rows);
+    }
+    // Straight-through store reads: values come from the store, gradients
+    // still reach G^node through the projection. A neighbor block with a
+    // stored row adds cached − projected to each stored row and +0 to the
+    // rest; every other row adds −0, which leaves any float unchanged.
+    if (reps != nullptr) {
+      T::Tensor residual(values.shape());
+      float* rp = residual.mutable_data();
+      std::fill(rp, rp + residual.size(), -0.0f);
+      const float* pp = values.data();
+      std::vector<const float*> stored;
+      bool any_cached = false;
+      for (const auto& [begin, end] : groups) {
+        stored.clear();
+        bool group_cached = false;
+        for (int64_t r = begin; r < end; ++r) {
+          stored.push_back(reps->Lookup(rows[static_cast<size_t>(r)]));
+          group_cached = group_cached || stored.back() != nullptr;
+        }
+        if (!group_cached) continue;
+        any_cached = true;
+        for (int64_t r = begin; r < end; ++r) {
+          float* row = rp + r * d;
+          const float* src = stored[static_cast<size_t>(r - begin)];
+          const float* prow = pp + r * d;
+          for (int64_t j = 0; j < d; ++j) {
+            row[j] = src == nullptr ? 0.0f : src[j] - prow[j];
+          }
+        }
+      }
+      if (any_cached) values = T::Add(values, residual);
+    }
+    // One edge-row matrix: trainable rows gathered from the edge and
+    // self-loop tables, relay rows (Eq. 8) copied in as constants.
+    std::vector<T::Tensor> tables = {params.edges->edge_table(),
+                                     params.edges->self_loop_table()};
+    if (!relays.empty()) {
+      const int64_t num_relays = static_cast<int64_t>(relays.size()) / d;
+      tables.push_back(T::Tensor::FromVector(T::Shape::Matrix(num_relays, d),
+                                             std::move(relays)));
+    }
+    packs = T::Mul(values, T::GatherRows(T::ConcatRows(tables), edge_rows));
+    // One Bernoulli per element in row-major order: the wide block, then
+    // the walks in order, exactly as per-block dropout would draw them.
+    dropped = T::Dropout(packs, config.dropout, dropout_rng, training);
+  }
+
+  // ---- PASS° (Eq. 3): the target's wide pack queries its wide set ----
   T::Tensor h_wide;
-  if (!config.disable_wide) {
-    T::Tensor neighbor_embeddings =
-        state.wide.size() > 0
-            ? LookupReps(graph, params, state.wide.nodes, reps)
-            : T::Tensor(T::Shape::Matrix(0, d));
-    T::Tensor packs = PackWide(target_embedding, neighbor_embeddings,
-                               state.wide, target_type, *params.edges);
-    T::Tensor query = T::SliceRows(packs, 0, 1);  // m_t°
-    packs = T::Dropout(packs, config.dropout, dropout_rng, training);
-    SingleQueryAttention attn = AttendSingleQuery(
-        T::MatMul(query, params.wq_wide), T::MatMul(packs, params.wk_wide),
-        T::MatMul(packs, params.wv_wide), d);
-    h_wide = attn.context;
-    if (keep_artifacts) result.wide_attention = std::move(attn.weights);
+  if (wide_on) {
+    obs::StageScope wide_stage(obs::Stage::kEncodePassWide);
+    const int64_t block = deep_begin;
+    T::Tensor query = T::SliceRows(packs, 0, 1);  // m_t°, before dropout
+    T::Tensor wide_packs =
+        block == num_rows ? dropped : T::SliceRows(dropped, 0, block);
+    h_wide = T::SegmentAttention(
+        T::MatMul(query, params.wq_wide),
+        T::MatMul(wide_packs, params.wk_wide),
+        T::MatMul(wide_packs, params.wv_wide), {0, block},
+        /*causal=*/false, attention_scale,
+        keep_artifacts ? &result.wide_attention : nullptr);
   } else {
     h_wide = T::Tensor(T::Shape::Matrix(1, d));  // zero contribution
   }
 
-  // ---- Deep successive self-attention (Eq. 2 + Eq. 4-6) ----
+  // ---- PASS▷ (Eq. 4-6): every walk at once, one block per walk ----
   T::Tensor h_deep;
-  if (!config.disable_deep) {
-    std::vector<T::Tensor> deep_contexts;
-    deep_contexts.reserve(state.deeps.size());
-    for (DeepNeighborState& deep : state.deeps) {
-      T::Tensor node_embeddings =
-          deep.size() > 0 ? LookupReps(graph, params, deep.nodes, reps)
-                          : T::Tensor(T::Shape::Matrix(0, d));
-      T::Tensor raw_packs = PackDeep(target_embedding, node_embeddings, deep,
-                                     target_type, *params.edges);
-      T::Tensor packs =
-          T::Dropout(raw_packs, config.dropout, dropout_rng, training);
-      // Eq. (4): refine the pack sequence with a masked self-attention so
-      // information flows from the walk tail toward the target only.
-      T::Tensor refined;
-      if (!config.disable_successive_attention) {
-        T::Tensor scores = T::Scale(
-            T::MatMul(T::MatMul(packs, params.wq_deep),
-                      T::Transpose(T::MatMul(packs, params.wk_deep))),
-            1.0f / std::sqrt(static_cast<float>(d)));
-        T::Tensor attn_rows = T::MaskedSoftmaxRows(
-            scores, T::CausalAttentionMask(packs.rows()));
-        refined = T::MatMul(attn_rows, T::MatMul(packs, params.wv_deep));
-      } else {
-        refined = packs;
-      }
-      // Eq. (5): target pack queries the refined sequence; values come from
-      // the raw packs (M▷ W_V▷'), exactly as printed.
-      T::Tensor query = T::SliceRows(packs, 0, 1);  // m_t▷
-      SingleQueryAttention attn = AttendSingleQuery(
-          T::MatMul(query, params.wq_deep2),
-          T::MatMul(refined, params.wk_deep2),
-          T::MatMul(packs, params.wv_deep2), d);
-      deep_contexts.push_back(attn.context);
-      if (keep_artifacts) {
-        result.deep_attention.push_back(std::move(attn.weights));
+  if (deep_on) {
+    obs::StageScope deep_stage(obs::Stage::kEncodePassDeep);
+    const int64_t deep_rows = num_rows - deep_begin;
+    T::Tensor deep_packs = deep_begin == 0
+                               ? dropped
+                               : T::SliceRows(dropped, deep_begin, deep_rows);
+    // Eq. (4): refine each walk's pack sequence with a causal self-attention
+    // so information flows from the walk tail toward the target only.
+    T::Tensor refined =
+        config.disable_successive_attention
+            ? deep_packs
+            : T::SegmentAttention(T::MatMul(deep_packs, params.wq_deep),
+                                  T::MatMul(deep_packs, params.wk_deep),
+                                  T::MatMul(deep_packs, params.wv_deep),
+                                  deep_offsets, /*causal=*/true,
+                                  attention_scale);
+    // Eq. (5): each walk's target pack m_t▷ (after dropout) queries its
+    // refined sequence; values come from the packs (M▷ W_V▷'), as printed.
+    std::vector<int32_t> walk_heads(deep_offsets.begin(),
+                                    deep_offsets.end() - 1);
+    std::vector<float> weights;
+    T::Tensor contexts = T::SegmentAttention(
+        T::MatMul(T::GatherRows(deep_packs, walk_heads), params.wq_deep2),
+        T::MatMul(refined, params.wk_deep2),
+        T::MatMul(deep_packs, params.wv_deep2), deep_offsets,
+        /*causal=*/false, attention_scale,
+        keep_artifacts ? &weights : nullptr);
+    if (keep_artifacts) {
+      for (size_t phi = 0; phi + 1 < deep_offsets.size(); ++phi) {
+        const int64_t begin = deep_offsets[phi], end = deep_offsets[phi + 1];
+        result.deep_attention.emplace_back(weights.begin() + begin,
+                                           weights.begin() + end);
         // Relay edges (Eq. 8) must read the true pack values, not the
         // dropout-perturbed ones.
-        result.deep_pack_values.push_back(raw_packs.DetachedCopy());
+        T::Tensor raw(T::Shape::Matrix(end - begin, d));
+        std::memcpy(raw.mutable_data(), packs.data() + (deep_begin + begin) * d,
+                    static_cast<size_t>((end - begin) * d) * sizeof(float));
+        result.deep_pack_values.push_back(std::move(raw));
       }
     }
     // Average pooling over the Φ walks (Eq. 7).
-    if (deep_contexts.size() == 1) {
-      h_deep = deep_contexts[0];
-    } else {
-      h_deep = T::MeanRows(T::ConcatRows(deep_contexts));
-    }
+    h_deep = contexts.rows() == 1 ? contexts : T::MeanRows(contexts);
   } else {
     h_deep = T::Tensor(T::Shape::Matrix(1, d));
   }
 
   // ---- Fuse (Eq. 7) ----
+  obs::StageScope fuse_stage(obs::Stage::kEncodeFuse);
   T::Tensor fused = T::ConcatCols({h_wide, h_deep});
   T::Tensor hidden =
       T::Relu(T::Add(T::MatMul(fused, params.fuse_w), params.fuse_b));

@@ -109,22 +109,27 @@ tensor::Tensor ProjectNodes(const graph::GraphView& graph,
                             const tensor::Tensor& g_node,
                             const std::vector<graph::NodeId>& nodes);
 
-/// [nodes.size(), d] neighbor representations: stored rows where `reps` has
-/// them, else the current projection. Straight-through — values come from
-/// the store, gradients still reach g_node through the projection term.
-tensor::Tensor LookupReps(const graph::GraphView& graph,
-                          const EncoderParams& params,
-                          const std::vector<graph::NodeId>& nodes,
-                          const RepSource* reps);
-
 /// One full WIDEN forward for a single target (Eq. 1-7). `dropout_rng` is
 /// consumed only on gradient-carrying passes (keep_artifacts set and no
 /// NoGradScope active); inference draws nothing from it.
+///
+/// The target is encoded in a few large steps (DESIGN.md §3): one
+/// projection of the target, its wide set and all Φ walks; one GEMM per
+/// attention weight over the stacked packs; one SegmentAttention each for
+/// Eq. 3, Eq. 4 and Eq. 5. Every output row is computed by the same kernels
+/// on the same operands as a per-walk composition of the printed equations,
+/// so the forward is bitwise that composition (tests/encoder_parity_test).
+///
+/// `projections`, if set, is ProjectNodes over every node of `graph` under
+/// the current G^node ([graph.num_nodes(), d]); the target's rows are then
+/// gathered from it instead of projected. The result is bitwise the same.
+/// Tape-free passes only: the table carries no gradient.
 EncodeResult EncodeTarget(const graph::GraphView& graph,
                           const EncoderParams& params,
                           const WidenConfig& config, TargetState& state,
                           const RepSource* reps, bool keep_artifacts,
-                          Rng& dropout_rng);
+                          Rng& dropout_rng,
+                          const tensor::Tensor* projections = nullptr);
 
 /// Seed of the per-node evaluation RNG stream used for cold nodes. Keying
 /// the stream by node id makes a cold embedding independent of which other

@@ -87,11 +87,14 @@ int64_t WidenModel::TotalParameterCount() const {
   return total;
 }
 
-T::Tensor WidenModel::ProjectNodes(
-    const graph::HeteroGraph& graph,
-    const std::vector<graph::NodeId>& nodes) const {
+T::Tensor WidenModel::ProjectionTable(const graph::HeteroGraph& graph) const {
+  std::vector<graph::NodeId> all(static_cast<size_t>(graph.num_nodes()));
+  for (graph::NodeId v = 0; v < graph.num_nodes(); ++v) {
+    all[static_cast<size_t>(v)] = v;
+  }
+  T::NoGradScope no_grad;
   return core::ProjectNodes(graph::HeteroGraphView(graph), params_.g_node,
-                            nodes);
+                            all);
 }
 
 WidenModel::EmbeddingCache& WidenModel::CacheFor(
@@ -104,14 +107,6 @@ WidenModel::EmbeddingCache& WidenModel::CacheFor(
     cache.valid.assign(static_cast<size_t>(graph.num_nodes()), false);
   }
   return cache;
-}
-
-T::Tensor WidenModel::LookupReps(const graph::HeteroGraph& graph,
-                                 const std::vector<graph::NodeId>& nodes) {
-  EmbeddingCache& cache = CacheFor(graph);
-  CacheRepSource reps(cache.data, cache.valid, config_.embedding_dim);
-  return core::LookupReps(graph::HeteroGraphView(graph), params_, nodes,
-                          &reps);
 }
 
 void WidenModel::StoreRep(const graph::HeteroGraph& graph,
@@ -127,12 +122,16 @@ void WidenModel::StoreRep(const graph::HeteroGraph& graph,
 
 void WidenModel::RefreshCache(const graph::HeteroGraph& graph,
                               int64_t passes) {
+  // Built outside the inference scope, so its buffer is freed at exit
+  // rather than parked in the thread's inference buffer pool.
+  const T::Tensor projections = ProjectionTable(graph);
   T::InferenceScope inference;
   Rng refresh_rng(config_.seed ^ 0x2EF2E54ULL);
   for (int64_t pass = 0; pass < passes; ++pass) {
     for (graph::NodeId v = 0; v < graph.num_nodes(); ++v) {
       TargetState state = SampleTargetState(graph, v, refresh_rng);
-      ForwardResult result = Forward(graph, state, /*keep_artifacts=*/false);
+      ForwardResult result =
+          Forward(graph, state, /*keep_artifacts=*/false, &projections);
       StoreRep(graph, v, result.embedding);
     }
   }
@@ -148,14 +147,14 @@ WidenModel::TargetState WidenModel::SampleTargetState(
                                  rng);
 }
 
-WidenModel::ForwardResult WidenModel::Forward(const graph::HeteroGraph& graph,
-                                              TargetState& state,
-                                              bool keep_artifacts) {
+WidenModel::ForwardResult WidenModel::Forward(
+    const graph::HeteroGraph& graph, TargetState& state, bool keep_artifacts,
+    const T::Tensor* projections) {
   obs::StageScope forward_stage(obs::Stage::kForward);
   EmbeddingCache& cache = CacheFor(graph);
   CacheRepSource reps(cache.data, cache.valid, config_.embedding_dim);
   return EncodeTarget(graph::HeteroGraphView(graph), params_, config_, state,
-                      &reps, keep_artifacts, rng_);
+                      &reps, keep_artifacts, rng_, projections);
 }
 
 void WidenModel::MaybeDownsample(TargetState& state,
@@ -341,11 +340,13 @@ StatusOr<WidenTrainReport> WidenModel::TrainUntil(
     {
       obs::StageScope refresh_stage(obs::Stage::kRefreshSweep);
       T::NoGradScope no_grad;
+      const T::Tensor projections = ProjectionTable(*graph_);
       refresh_order = refresh_canonical;
       rng_.Shuffle(refresh_order);
       for (graph::NodeId v : refresh_order) {
         TargetState& state = target_states_.at(v);
-        ForwardResult result = Forward(*graph_, state, /*keep_artifacts=*/true);
+        ForwardResult result = Forward(*graph_, state,
+                                       /*keep_artifacts=*/true, &projections);
         if (current_epoch_ >= 1) MaybeDownsample(state, result, log);
         StoreRep(*graph_, v, result.embedding);
       }

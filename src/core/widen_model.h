@@ -162,16 +162,15 @@ class WidenModel {
 
   TargetState SampleTargetState(const graph::HeteroGraph& graph,
                                 graph::NodeId node, Rng& rng) const;
+  /// `projections`: ProjectionTable(graph) for a tape-free pass, or
+  /// nullptr (core::EncodeTarget).
   ForwardResult Forward(const graph::HeteroGraph& graph, TargetState& state,
-                        bool keep_artifacts);
-  /// v = x G^node for the given node ids (differentiable).
-  tensor::Tensor ProjectNodes(const graph::HeteroGraph& graph,
-                              const std::vector<graph::NodeId>& nodes) const;
+                        bool keep_artifacts,
+                        const tensor::Tensor* projections = nullptr);
+  /// x G^node for every node of `graph` under the current parameters,
+  /// computed once per tape-free sweep (G^node does not change within one).
+  tensor::Tensor ProjectionTable(const graph::HeteroGraph& graph) const;
   EmbeddingCache& CacheFor(const graph::HeteroGraph& graph);
-  /// Constant [nodes.size(), d] neighbor representations: cached when
-  /// available, else current x G^node values.
-  tensor::Tensor LookupReps(const graph::HeteroGraph& graph,
-                            const std::vector<graph::NodeId>& nodes);
   /// Writes a detached embedding row back into the graph's cache.
   void StoreRep(const graph::HeteroGraph& graph, graph::NodeId node,
                 const tensor::Tensor& row);

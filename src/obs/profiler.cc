@@ -47,6 +47,7 @@ const char* ProfOpName(ProfOp op) {
     case ProfOp::kSumAll: return "SumAll";
     case ProfOp::kRowL2Normalize: return "RowL2Normalize";
     case ProfOp::kDropout: return "Dropout";
+    case ProfOp::kSegmentAttention: return "SegmentAttention";
   }
   return "unknown";
 }
@@ -247,9 +248,9 @@ double EnvPeakOrDefault(const char* env_name, double fallback) {
 }
 
 double PeakGflops() {
-  static const double v = EnvPeakOrDefault("WIDEN_ROOFLINE_GFLOPS",
-                                           Profiler::kDefaultPeakGflops);
-  return v;
+  return EnvPeakOrDefault(
+      "WIDEN_ROOFLINE_GFLOPS",
+      Profiler::DefaultPeakGflops(GetProfileAnnotation("simd_isa")));
 }
 
 double PeakGbs() {
@@ -302,6 +303,11 @@ std::vector<OpRow> CollectRows(const Profiler& prof, double ridge) {
 }  // namespace
 
 double Profiler::RidgeFlopsPerByte() const { return PeakGflops() / PeakGbs(); }
+
+double Profiler::DefaultPeakGflops(const std::string& isa) {
+  return isa == "avx2" || isa == "neon" ? kVectorPeakGflops
+                                        : kScalarPeakGflops;
+}
 
 std::string Profiler::DumpJson() const {
   const double ridge = RidgeFlopsPerByte();

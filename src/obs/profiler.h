@@ -68,8 +68,9 @@ enum class ProfOp : uint8_t {
   kSumAll,
   kRowL2Normalize,
   kDropout,
+  kSegmentAttention,
 };
-inline constexpr int kNumProfOps = 29;
+inline constexpr int kNumProfOps = 30;
 const char* ProfOpName(ProfOp op);
 
 /// Free-form key/value labels attached to profiler reports so a dump is
@@ -209,17 +210,25 @@ class Profiler {
 
   /// Roofline ridge point in FLOPs/byte: ops with a higher arithmetic
   /// intensity are compute-bound, lower memory-bound. Defaults to
-  /// kDefaultPeakGflops / kDefaultPeakGbs; override either peak with the
-  /// WIDEN_ROOFLINE_GFLOPS / WIDEN_ROOFLINE_GBS environment variables.
+  /// DefaultPeakGflops(active SIMD ISA) / kDefaultPeakGbs; override either
+  /// peak with the WIDEN_ROOFLINE_GFLOPS / WIDEN_ROOFLINE_GBS environment
+  /// variables. Read at each call, so a test that forces another ISA sees
+  /// its peak.
   double RidgeFlopsPerByte() const;
 
-  // Documented scalar-code roofline defaults: ~2 FLOPs/cycle at ~4 GHz
-  // against ~10 GB/s sustained single-core DRAM bandwidth. Deliberately
-  // round numbers; the classification only needs the right order of
-  // magnitude. The vectorized kernels (tensor/simd/) can exceed this compute
-  // peak (AVX2 MatMul reaches ~43 GFLOP/s at 256^3); set
-  // WIDEN_ROOFLINE_GFLOPS to classify against a vector peak instead.
-  static constexpr double kDefaultPeakGflops = 8.0;
+  /// Default compute peak for the kernel table named `isa` (the "simd_isa"
+  /// annotation the SIMD dispatcher publishes): kScalarPeakGflops for
+  /// "scalar" or an unknown name, kVectorPeakGflops for "avx2" and "neon".
+  static double DefaultPeakGflops(const std::string& isa);
+
+  // Documented roofline defaults. Scalar code: ~2 FLOPs/cycle at ~4 GHz.
+  // Vector tables: a round number above the best single-thread BM_MatMul
+  // rate committed to BENCH_kernels.json (~66 GFLOP/s with AVX2), near one
+  // core's FMA peak. Memory: ~10 GB/s sustained single-core DRAM
+  // bandwidth. Deliberately round numbers; the classification only needs
+  // the right order of magnitude.
+  static constexpr double kScalarPeakGflops = 8.0;
+  static constexpr double kVectorPeakGflops = 100.0;
   static constexpr double kDefaultPeakGbs = 10.0;
 
   /// Full JSON report: per-(op, stage) rows with derived GFLOP/s, GB/s,

@@ -53,6 +53,10 @@ enum class Stage : uint8_t {
   kDeepWalk,
   kSupervisedBatches,
   kForward,
+  kEncodePack,
+  kEncodePassWide,
+  kEncodePassDeep,
+  kEncodeFuse,
   kBackward,
   kOptimizer,
   kRefreshSweep,
@@ -67,7 +71,7 @@ enum class Stage : uint8_t {
   kReload,
   kHaloMissFill,
 };
-inline constexpr int kNumStages = 20;
+inline constexpr int kNumStages = 24;
 
 struct StageInfo {
   const char* name;       // profiler row, trace event name
@@ -88,6 +92,12 @@ inline constexpr StageInfo kStageTable[kNumStages] = {
      "Wall time per deep random walk (microseconds, 1-in-16 sampled)", 16},
     {"supervised_batches", "train", nullptr, nullptr, 1},
     {"forward", "train", nullptr, nullptr, 1},
+    // The encoder's paper stages (core/encoder.cc EncodeTarget): PACK
+    // (Eq. 1-2), PASS° (Eq. 3), PASS▷ (Eq. 4-6) and fusion (Eq. 7).
+    {"encode_pack", "encoder", nullptr, nullptr, 1},
+    {"encode_pass_wide", "encoder", nullptr, nullptr, 1},
+    {"encode_pass_deep", "encoder", nullptr, nullptr, 1},
+    {"encode_fuse", "encoder", nullptr, nullptr, 1},
     {"backward", "tensor", nullptr, nullptr, 1},
     {"optimizer", "train", nullptr, nullptr, 1},
     {"refresh_sweep", "train", nullptr, nullptr, 1},

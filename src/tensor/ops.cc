@@ -98,15 +98,15 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     const float* pa = a.data();
     const float* pb = b.data();
     float* po = out.mutable_data();
-    // i-k-j order (j-tiled inside the row kernel); each chunk owns a
-    // disjoint range of output rows, and each out[i][j] accumulates its k
-    // terms in ascending order regardless of the chunk grid, so results are
-    // bitwise identical for any thread count within the active ISA.
-    const auto kern = simd::Active().matmul_row;
+    // i-k-j order (row-blocked and j-tiled inside the kernel); each chunk
+    // owns a disjoint range of output rows, and each out[i][j] accumulates
+    // its k terms in ascending order regardless of the chunk grid or the row
+    // block, so results are bitwise identical for any thread count within
+    // the active ISA, and each output row equals a one-row MatMul of its
+    // input row.
+    const auto kern = simd::Active().matmul_rows;
     ParallelForGrid(m, kRowGrain, [=](int64_t r0, int64_t r1) {
-      for (int64_t i = r0; i < r1; ++i) {
-        kern(pa + i * k, pb, po + i * n, k, n);
-      }
+      kern(pa + r0 * k, pb, po + r0 * n, r1 - r0, k, n);
     });
   }
   if (NeedsGrad(a, b)) {
@@ -130,15 +130,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         // dA += dC * B^T  (m x n) * (n x k); dA rows are disjoint per chunk.
         float* da = ai->grad.data();
         const float* pb = bi->data.data();
-        const auto kdot = simd::Active().dot;
+        const auto kern = simd::Active().matmul_bwd_a;
         ParallelForGrid(m, kRowGrain, [=](int64_t r0, int64_t r1) {
-          for (int64_t i = r0; i < r1; ++i) {
-            const float* grow = g + i * n;
-            float* darow = da + i * k;
-            for (int64_t kk = 0; kk < k; ++kk) {
-              darow[kk] += kdot(grow, pb + kk * n, n);
-            }
-          }
+          kern(g + r0 * n, pb, da + r0 * k, r1 - r0, k, n);
         });
       }
       if (bi->requires_grad) {
@@ -150,17 +144,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         // exact scalar sum order, with no cross-chunk reduction needed.
         float* db = bi->grad.data();
         const float* pa = ai->data.data();
-        const auto kaxpy = simd::Active().axpy;
+        const auto kern = simd::Active().matmul_bwd_b;
         ParallelForGrid(k, kRowGrain, [=](int64_t k0, int64_t k1) {
-          for (int64_t i = 0; i < m; ++i) {
-            const float* arow = pa + i * k;
-            const float* grow = g + i * n;
-            for (int64_t kk = k0; kk < k1; ++kk) {
-              const float av = arow[kk];
-              if (av == 0.0f) continue;
-              kaxpy(av, grow, db + kk * n, n);
-            }
-          }
+          kern(pa + k0, k, g, db + k0 * n, m, k1 - k0, n);
         });
       }
     });
@@ -637,6 +623,143 @@ Tensor MaskedSoftmaxRows(const Tensor& a, const Tensor& mask) {
                            4 * 4 * m * n);
       SoftmaxRowsBackward(oi->grad.data(), oi->data.data(), ai->grad.data(),
                           m, n);
+    });
+  }
+  return out;
+}
+
+Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                        const std::vector<int64_t>& offsets, bool causal,
+                        float scale, std::vector<float>* weights) {
+  WIDEN_CHECK(q.shape().rank() == 2 && k.shape().rank() == 2 &&
+              v.shape().rank() == 2)
+      << "SegmentAttention requires matrices";
+  const int64_t rows = k.rows(), d = k.cols(), dv = v.cols();
+  const int64_t segments = static_cast<int64_t>(offsets.size()) - 1;
+  WIDEN_CHECK_GE(segments, 0);
+  WIDEN_CHECK_EQ(offsets.front(), 0);
+  WIDEN_CHECK_EQ(offsets.back(), rows);
+  WIDEN_CHECK_EQ(v.rows(), rows);
+  WIDEN_CHECK_EQ(q.cols(), d);
+  WIDEN_CHECK_EQ(q.rows(), causal ? rows : segments);
+  WIDEN_CHECK(!causal || weights == nullptr)
+      << "SegmentAttention: weights are reported for one-query segments only";
+  int64_t max_len = 0, weight_count = 0;
+  for (int64_t s = 0; s < segments; ++s) {
+    const int64_t len = offsets[s + 1] - offsets[s];
+    WIDEN_CHECK_GT(len, 0) << "SegmentAttention: empty segment " << s;
+    max_len = std::max(max_len, len);
+    weight_count += causal ? len * len : len;
+  }
+  const int64_t out_rows = causal ? rows : segments;
+  Tensor out(Shape::Matrix(out_rows, dv));
+  // Scores (2d per query-key pair), softmax (5 per pair, DESIGN.md §12's
+  // nominal form) and the weighted value sum (2dv per pair).
+  ScopedOpProfile prof(ProfOp::kSegmentAttention,
+                       weight_count * (2 * d + 5 + 2 * dv),
+                       4 * (q.size() + k.size() + v.size() + out.size() +
+                            weight_count));
+  // Attention weights of every segment, row-major per segment ([L] for a
+  // one-query segment, [L, L] for a causal one); the backward reads them.
+  auto attn = std::make_shared<std::vector<float>>(
+      static_cast<size_t>(weight_count));
+  {
+    const simd::Kernels& kern = simd::Active();
+    std::vector<float> keys_t(static_cast<size_t>(d * max_len));
+    std::vector<float> scores(
+        static_cast<size_t>(causal ? max_len * max_len : max_len));
+    const float* pq = q.data();
+    const float* pk = k.data();
+    const float* pv = v.data();
+    float* po = out.mutable_data();
+    float* pa = attn->data();
+    for (int64_t s = 0; s < segments; ++s) {
+      const int64_t o = offsets[s], len = offsets[s + 1] - o;
+      const int64_t queries = causal ? len : 1;
+      for (int64_t j = 0; j < len; ++j) {
+        for (int64_t c = 0; c < d; ++c) {
+          keys_t[static_cast<size_t>(c * len + j)] = pk[(o + j) * d + c];
+        }
+      }
+      float* ps = scores.data();
+      std::fill(ps, ps + queries * len, 0.0f);
+      kern.matmul_rows(pq + (causal ? o : s) * d, keys_t.data(), ps, queries,
+                       d, len);
+      kern.scale(ps, scale, ps, queries * len);
+      for (int64_t i = 0; i < queries; ++i) {
+        // Row i of a causal segment sees keys [i, len); its masked prefix
+        // holds exact zeros.
+        const int64_t first = causal ? i : 0;
+        float* arow = pa + i * len;
+        std::fill(arow, arow + first, 0.0f);
+        kern.softmax_row(ps + i * len + first, nullptr, arow + first,
+                         len - first);
+      }
+      kern.matmul_rows(pa, pv + o * dv, po + (causal ? o : s) * dv, queries,
+                       len, dv);
+      pa += queries * len;
+    }
+  }
+  if (weights != nullptr) *weights = *attn;
+  if (NeedsGrad(q, k) || NeedsGrad(v)) {
+    TensorImpl* qi = q.impl_ptr().get();
+    TensorImpl* ki = k.impl_ptr().get();
+    TensorImpl* vi = v.impl_ptr().get();
+    TensorImpl* oi = out.impl_ptr().get();
+    auto segs = std::make_shared<std::vector<int64_t>>(offsets);
+    Attach(out, {q, k, v}, [qi, ki, vi, oi, segs, attn, causal, scale, d,
+                            dv, max_len, weight_count] {
+      oi->EnsureGrad();
+      // Per pair: dA dot (2dv), dV axpy (2dv), softmax backward (5), and
+      // the dQ / dK sums (2d each).
+      ScopedOpProfile prof(ProfOp::kSegmentAttention,
+                           weight_count * (4 * dv + 5 + 4 * d),
+                           4 * (2 * (qi->data.size() + ki->data.size() +
+                                     vi->data.size()) +
+                                oi->data.size() + weight_count));
+      const simd::Kernels& kern = simd::Active();
+      if (qi->requires_grad) qi->EnsureGrad();
+      if (ki->requires_grad) ki->EnsureGrad();
+      if (vi->requires_grad) vi->EnsureGrad();
+      const size_t block =
+          static_cast<size_t>(causal ? max_len * max_len : max_len);
+      std::vector<float> dattn(block), dscores(block);
+      const std::vector<int64_t>& offs = *segs;
+      const float* g = oi->grad.data();
+      const float* pa = attn->data();
+      for (size_t s = 0; s + 1 < offs.size(); ++s) {
+        const int64_t o = offs[s], len = offs[s + 1] - o;
+        const int64_t queries = causal ? len : 1;
+        const int64_t qrow = causal ? o : static_cast<int64_t>(s);
+        const float* gs = g + qrow * dv;
+        std::fill(dattn.begin(), dattn.begin() + queries * len, 0.0f);
+        std::fill(dscores.begin(), dscores.begin() + queries * len, 0.0f);
+        // dA = dOut V^T; dV += A^T dOut.
+        kern.matmul_bwd_a(gs, vi->data.data() + o * dv, dattn.data(),
+                          queries, len, dv);
+        if (vi->requires_grad) {
+          kern.matmul_bwd_b(pa, len, gs, vi->grad.data() + o * dv, queries,
+                            len, dv);
+        }
+        // dS = scale * softmax'(A) dA over each row's open keys.
+        for (int64_t i = 0; i < queries; ++i) {
+          const int64_t first = causal ? i : 0;
+          const int64_t at = i * len + first;
+          kern.softmax_row_bwd(dattn.data() + at, pa + at,
+                               dscores.data() + at, len - first);
+        }
+        kern.scale(dscores.data(), scale, dscores.data(), queries * len);
+        // dQ += dS K; dK += dS^T Q.
+        if (qi->requires_grad) {
+          kern.matmul_rows(dscores.data(), ki->data.data() + o * d,
+                           qi->grad.data() + qrow * d, queries, len, d);
+        }
+        if (ki->requires_grad) {
+          kern.matmul_bwd_b(dscores.data(), len, qi->data.data() + qrow * d,
+                            ki->grad.data() + o * d, queries, len, d);
+        }
+        pa += queries * len;
+      }
     });
   }
   return out;

@@ -70,6 +70,27 @@ Tensor SoftmaxRows(const Tensor& a);
 /// materializing the masked scores; no gradient flows to the mask.
 Tensor MaskedSoftmaxRows(const Tensor& a, const Tensor& mask);
 
+/// Ragged scaled dot-product attention over row segments (DESIGN.md §3):
+/// segment s owns key/value rows [offsets[s], offsets[s+1]) of `k` and `v`.
+/// `offsets` starts at 0, ends at k.rows() and every segment has a row.
+///
+///   causal = false: one query per segment. q is [S, d] and row s of the
+///     [S, dv] result is softmax(scale * q_s K_s^T) V_s.
+///   causal = true: every row queries its own segment. q is [k.rows(), d];
+///     local row i attends to local keys j >= i (CausalAttentionMask's open
+///     upper triangle), giving a [k.rows(), dv] result.
+///
+/// The forward is bitwise the per-segment composition
+/// MatMul(SoftmaxRows(Scale(MatMul(Q_s, Transpose(K_s)), scale)), V_s),
+/// with MaskedSoftmaxRows(·, CausalAttentionMask(L)) when causal: each row
+/// runs the same kernels on the same operands, and a causal row's softmax
+/// skips its masked prefix, which only ever adds exact zeros. Non-causal
+/// calls may pass `weights` to receive the attention weights, one per key
+/// row in row order.
+Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                        const std::vector<int64_t>& offsets, bool causal,
+                        float scale, std::vector<float>* weights = nullptr);
+
 /// Mean cross-entropy of logits [m,c] against integer labels (size m).
 /// Optional per-sample weights (e.g. 0/1 label masks); mean is taken over the
 /// total weight. Returns a scalar.

@@ -112,6 +112,219 @@ void Axpy(float a, const float* x, float* y, int64_t n) {
   for (; j < n; ++j) y[j] += a * x[j];
 }
 
+// ---- Row-blocked MatMul kernels ----------------------------------------
+// Each reproduces the composition of MatMulRow / Dot / Axpy above
+// (tensor/simd/compose.h) bitwise: blocking only shares loads between
+// output elements, and every element keeps its own chain — FMA in the
+// 8-wide column blocks, plain mul+add (this TU has -ffp-contract=off) in the
+// n % 8 tail, terms ascending.
+
+// Lanes [0, count) of a maskload/maskstore, count in [1, 7].
+inline __m256i TailMask(int64_t count) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// R rows of MatMulRow: every B load feeds R rows.
+template <int R>
+void MatMulRowBlock(const float* a, const float* b, float* o, int64_t k,
+                    int64_t n) {
+  int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    __m256 acc[R][2];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      acc[r][0] = _mm256_loadu_ps(o + r * n + j);
+      acc[r][1] = _mm256_loadu_ps(o + r * n + j + 8);
+    }
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const __m256 b0 = _mm256_loadu_ps(b + kk * n + j);
+      const __m256 b1 = _mm256_loadu_ps(b + kk * n + j + 8);
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const __m256 av = _mm256_broadcast_ss(a + r * k + kk);
+        acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
+        acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      _mm256_storeu_ps(o + r * n + j, acc[r][0]);
+      _mm256_storeu_ps(o + r * n + j + 8, acc[r][1]);
+    }
+  }
+  for (; j + 8 <= n; j += 8) {
+    __m256 acc[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) acc[r] = _mm256_loadu_ps(o + r * n + j);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const __m256 b0 = _mm256_loadu_ps(b + kk * n + j);
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + r * k + kk), b0,
+                                 acc[r]);
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) _mm256_storeu_ps(o + r * n + j, acc[r]);
+  }
+  if (j < n) {
+    // The n % 8 tail columns, one lane each: a separate multiply and add
+    // per term is MatMulRow's scalar chain, so the bits match.
+    const __m256i mask = TailMask(n - j);
+    __m256 acc[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) acc[r] = _mm256_maskload_ps(o + r * n + j, mask);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const __m256 b0 = _mm256_maskload_ps(b + kk * n + j, mask);
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        acc[r] = _mm256_add_ps(
+            acc[r], _mm256_mul_ps(_mm256_broadcast_ss(a + r * k + kk), b0));
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) _mm256_maskstore_ps(o + r * n + j, mask, acc[r]);
+  }
+}
+
+void MatMulRows(const float* a, const float* b, float* o, int64_t m,
+                int64_t k, int64_t n) {
+  int64_t i = 0;
+  for (; i + 4 <= m; i += 4) MatMulRowBlock<4>(a + i * k, b, o + i * n, k, n);
+  for (; i < m; ++i) MatMulRowBlock<1>(a + i * k, b, o + i * n, k, n);
+}
+
+// out[r] += Dot(g, b + r*n, n) for r < 4 with Dot's exact tree: stripe s
+// of each output sums the 32-wide chunks' lanes [8s, 8s+8) in ascending j
+// (stripe 0 then takes the 8-wide blocks), partials combine as
+// (s0+s1)+(s2+s3), and HSum's steps (lo+hi, then (y0+y2, y1+y3), then
+// their sum) run on all four outputs at once. Stripes are computed one
+// after another so only live partials occupy registers; every g load feeds
+// four outputs.
+void DotBlock4(const float* g, const float* b, int64_t n, float* out) {
+  const int64_t chunks_end = n - n % 32;
+  const int64_t blocks_end = n - n % 8;
+  auto stripe = [&](int s, __m256 acc[4]) {
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r) acc[r] = _mm256_setzero_ps();
+    for (int64_t j = 8 * s; j < chunks_end; j += 32) {
+      const __m256 gv = _mm256_loadu_ps(g + j);
+#pragma GCC unroll 4
+      for (int r = 0; r < 4; ++r) {
+        acc[r] = _mm256_fmadd_ps(gv, _mm256_loadu_ps(b + r * n + j), acc[r]);
+      }
+    }
+    if (s != 0) return;
+    for (int64_t j = chunks_end; j < blocks_end; j += 8) {
+      const __m256 gv = _mm256_loadu_ps(g + j);
+#pragma GCC unroll 4
+      for (int r = 0; r < 4; ++r) {
+        acc[r] = _mm256_fmadd_ps(gv, _mm256_loadu_ps(b + r * n + j), acc[r]);
+      }
+    }
+  };
+  __m256 x[4], y[4], v[4];
+  stripe(0, x);
+  stripe(1, y);
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) v[r] = _mm256_add_ps(x[r], y[r]);
+  stripe(2, x);
+  stripe(3, y);
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) {
+    v[r] = _mm256_add_ps(v[r], _mm256_add_ps(x[r], y[r]));
+  }
+  // [lo+hi of v0 | of v1] and [of v2 | of v3].
+  const __m256 t01 = _mm256_add_ps(_mm256_permute2f128_ps(v[0], v[1], 0x20),
+                                   _mm256_permute2f128_ps(v[0], v[1], 0x31));
+  const __m256 t23 = _mm256_add_ps(_mm256_permute2f128_ps(v[2], v[3], 0x20),
+                                   _mm256_permute2f128_ps(v[2], v[3], 0x31));
+  // Per half: (y0+y2, y1+y3) of the first output, then of the second.
+  const __m256 u = _mm256_add_ps(_mm256_shuffle_ps(t01, t23, 0x44),
+                                 _mm256_shuffle_ps(t01, t23, 0xEE));
+  // Lane 0: v0, lane 1: v2, lane 4: v1, lane 5: v3.
+  const __m256 w = _mm256_add_ps(_mm256_shuffle_ps(u, u, 0x88),
+                                 _mm256_shuffle_ps(u, u, 0xDD));
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, w);
+  const float sums[4] = {lanes[0], lanes[4], lanes[1], lanes[5]};
+  for (int r = 0; r < 4; ++r) {
+    float acc = sums[r];
+    for (int64_t j = blocks_end; j < n; ++j) acc += g[j] * b[r * n + j];
+    out[r] += acc;
+  }
+}
+
+void MatMulBwdA(const float* g, const float* b, float* da, int64_t m,
+                int64_t k, int64_t n) {
+  for (int64_t i = 0; i < m; ++i) {
+    const float* grow = g + i * n;
+    float* darow = da + i * k;
+    int64_t kk = 0;
+    for (; kk + 4 <= k; kk += 4) DotBlock4(grow, b + kk * n, n, darow + kk);
+    for (; kk < k; ++kk) darow[kk] += Dot(grow, b + kk * n, n);
+  }
+}
+
+// One dB row's columns [0, 8V) held in V registers across the whole i
+// loop; Axpy's skip of zero A entries is kept per (i, kk).
+template <int V>
+void AxpyColumnBlock(const float* acol, int64_t lda, const float* g,
+                     float* dbrow, int64_t m, int64_t n) {
+  __m256 acc[V];
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) acc[v] = _mm256_loadu_ps(dbrow + 8 * v);
+  for (int64_t i = 0; i < m; ++i) {
+    const float av = acol[i * lda];
+    if (av == 0.0f) continue;
+    const __m256 avv = _mm256_set1_ps(av);
+    const float* grow = g + i * n;
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      acc[v] = _mm256_fmadd_ps(avv, _mm256_loadu_ps(grow + 8 * v), acc[v]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) _mm256_storeu_ps(dbrow + 8 * v, acc[v]);
+}
+
+void MatMulBwdB(const float* a, int64_t lda, const float* g, float* db,
+                int64_t m, int64_t kb, int64_t n) {
+  const int64_t vec_end = n - n % 8;
+  for (int64_t kk = 0; kk < kb; ++kk) {
+    float* dbrow = db + kk * n;
+    const float* acol = a + kk;
+    int64_t j = 0;
+    for (; j + 64 <= vec_end; j += 64) {
+      AxpyColumnBlock<8>(acol, lda, g + j, dbrow + j, m, n);
+    }
+    switch ((vec_end - j) / 8) {
+      case 7: AxpyColumnBlock<7>(acol, lda, g + j, dbrow + j, m, n); break;
+      case 6: AxpyColumnBlock<6>(acol, lda, g + j, dbrow + j, m, n); break;
+      case 5: AxpyColumnBlock<5>(acol, lda, g + j, dbrow + j, m, n); break;
+      case 4: AxpyColumnBlock<4>(acol, lda, g + j, dbrow + j, m, n); break;
+      case 3: AxpyColumnBlock<3>(acol, lda, g + j, dbrow + j, m, n); break;
+      case 2: AxpyColumnBlock<2>(acol, lda, g + j, dbrow + j, m, n); break;
+      case 1: AxpyColumnBlock<1>(acol, lda, g + j, dbrow + j, m, n); break;
+      default: break;
+    }
+    if (vec_end < n) {
+      // Axpy's scalar tail, one lane per column (separate mul and add).
+      const __m256i mask = TailMask(n - vec_end);
+      __m256 acc = _mm256_maskload_ps(dbrow + vec_end, mask);
+      for (int64_t i = 0; i < m; ++i) {
+        const float av = acol[i * lda];
+        if (av == 0.0f) continue;
+        acc = _mm256_add_ps(
+            acc, _mm256_mul_ps(_mm256_set1_ps(av),
+                               _mm256_maskload_ps(g + i * n + vec_end, mask)));
+      }
+      _mm256_maskstore_ps(dbrow + vec_end, mask, acc);
+    }
+  }
+}
+
 void Add(const float* a, const float* b, float* o, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -336,6 +549,9 @@ const Kernels& Avx2Kernels() {
       MatMulRow,
       Dot,
       Axpy,
+      MatMulRows,
+      MatMulBwdA,
+      MatMulBwdB,
       Add,
       Sub,
       Mul,

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "tensor/simd/compose.h"
 #include "tensor/simd/simd.h"
 
 namespace widen::tensor::simd {
@@ -197,6 +198,9 @@ const Kernels& NeonKernels() {
     t.matmul_row = MatMulRow;
     t.dot = Dot;
     t.axpy = Axpy;
+    t.matmul_rows = ComposedMatMulRows<MatMulRow>;
+    t.matmul_bwd_a = ComposedMatMulBwdA<Dot>;
+    t.matmul_bwd_b = ComposedMatMulBwdB<Axpy>;
     t.add = Add;
     t.sub = Sub;
     t.mul = Mul;

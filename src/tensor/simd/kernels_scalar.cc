@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "tensor/simd/compose.h"
 #include "tensor/simd/simd.h"
 
 namespace widen::tensor::simd {
@@ -136,6 +137,9 @@ const Kernels& ScalarKernels() {
       MatMulRow,
       Dot,
       Axpy,
+      ComposedMatMulRows<MatMulRow>,
+      ComposedMatMulBwdA<Dot>,
+      ComposedMatMulBwdB<Axpy>,
       Add,
       Sub,
       Mul,

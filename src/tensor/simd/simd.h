@@ -62,6 +62,26 @@ struct Kernels {
   // y[j] += a * x[j] (MatMul dB inner loop; FMA permitted).
   void (*axpy)(float a, const float* x, float* y, int64_t n);
 
+  // ---- Row-blocked MatMul kernels --------------------------------------
+  // Each is bitwise equal to composing the single-row entries above in the
+  // loops written here (tensor/simd/compose.h is that composition, and the
+  // scalar and NEON tables use it as is); vector tables block rows to share
+  // loads but keep every output element's reduction order.
+  //
+  // o[i*n + j] += sum_kk a[i*k + kk] * b[kk*n + j] for i < m: matmul_row
+  // per row.
+  void (*matmul_rows)(const float* a, const float* b, float* o, int64_t m,
+                      int64_t k, int64_t n);
+  // da[i*k + kk] += dot(g + i*n, b + kk*n, n) for i < m, kk < k: MatMul dA.
+  void (*matmul_bwd_a)(const float* g, const float* b, float* da, int64_t m,
+                       int64_t k, int64_t n);
+  // For i ascending and kk < kb with av = a[i*lda + kk] != 0:
+  // axpy(av, g + i*n, db + kk*n, n). MatMul dB over dB rows [0, kb); zero
+  // entries of A are skipped (so -0.0 and inf/NaN rows of dC behave as in
+  // the per-row loop).
+  void (*matmul_bwd_b)(const float* a, int64_t lda, const float* g,
+                       float* db, int64_t m, int64_t kb, int64_t n);
+
   // ---- Lanewise kernels (bitwise-identical to scalar on every ISA) -----
   void (*add)(const float* a, const float* b, float* o, int64_t n);
   void (*sub)(const float* a, const float* b, float* o, int64_t n);

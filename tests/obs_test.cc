@@ -23,6 +23,7 @@
 #include "obs/stage.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
+#include "tensor/simd/simd.h"
 #include "tensor/tensor.h"
 #include "util/file_util.h"
 #include "util/json.h"
@@ -725,6 +726,42 @@ TEST_F(ProfilerExactnessTest, DumpJsonParsesAndCarriesAnalyticFlops) {
   EXPECT_TRUE(found) << root.Dump();
   ASSERT_NE(root.Find("roofline"), nullptr);
   ASSERT_NE(root.Find("memory"), nullptr);
+}
+
+// The default compute peak follows the installed kernel table (a scalar
+// peak under-rates the vector kernels by ~5x), and WIDEN_ROOFLINE_GFLOPS
+// overrides it under every table.
+TEST(RooflineTest, PeakFollowsActiveIsaAndEnvWins) {
+  namespace simd = T::simd;
+  const char* saved_env = std::getenv("WIDEN_ROOFLINE_GFLOPS");
+  const std::string saved = saved_env == nullptr ? "" : saved_env;
+  unsetenv("WIDEN_ROOFLINE_GFLOPS");
+  const simd::Isa original = simd::ForceIsa(simd::Isa::kScalar);
+  const Profiler& profiler = Profiler::Get();
+  const double scalar_ridge = profiler.RidgeFlopsPerByte();
+  EXPECT_DOUBLE_EQ(scalar_ridge,
+                   Profiler::kScalarPeakGflops / Profiler::kDefaultPeakGbs);
+  for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kNeon}) {
+    if (!simd::IsaSupported(isa)) continue;
+    simd::ForceIsa(isa);
+    EXPECT_GT(profiler.RidgeFlopsPerByte(), scalar_ridge)
+        << simd::IsaName(isa);
+  }
+  setenv("WIDEN_ROOFLINE_GFLOPS", "123", 1);
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
+    if (!simd::IsaSupported(isa)) continue;
+    simd::ForceIsa(isa);
+    EXPECT_DOUBLE_EQ(profiler.RidgeFlopsPerByte(),
+                     123.0 / Profiler::kDefaultPeakGbs)
+        << simd::IsaName(isa);
+  }
+  if (saved_env == nullptr) {
+    unsetenv("WIDEN_ROOFLINE_GFLOPS");
+  } else {
+    setenv("WIDEN_ROOFLINE_GFLOPS", saved.c_str(), 1);
+  }
+  simd::ForceIsa(original);
 }
 
 // ---------------------------------------------------------------------------

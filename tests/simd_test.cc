@@ -176,6 +176,84 @@ TEST(SimdKernelTest, ReluNanHandlingMatchesScalar) {
 // Reduction/fused kernels fix their tree per ISA, so cross-ISA agreement is
 // only approximate — but within one ISA, vector vs scalar must agree to
 // rounding slack and the vector result must be self-consistent.
+// Inputs for the row-blocked MatMul kernels: normal values with exact
+// zeros and negative zeros mixed in (the dB kernels skip zero A entries,
+// and a -0.0 accumulator start must survive where the per-row loop keeps
+// it).
+std::vector<float> BlockedKernelValues(int64_t n, uint64_t seed) {
+  std::vector<float> v = RandomValues(n, seed);
+  for (int64_t i = 0; i < n; ++i) {
+    if (i % 5 == 1) v[static_cast<size_t>(i)] = 0.0f;
+    if (i % 7 == 3) v[static_cast<size_t>(i)] = -0.0f;
+  }
+  return v;
+}
+
+bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// Every row-blocked kernel equals the composition of its table's own
+// single-row kernels (tensor/simd/compose.h) bit for bit: m not a multiple
+// of the row block, every n % 8, k = 0, zero and -0.0 inputs.
+TEST(SimdKernelTest, RowBlockedKernelsMatchComposedRowKernelsBitwise) {
+  for (simd::Isa isa : SupportedIsas()) {
+    ScopedIsa scoped(isa);
+    const simd::Kernels& kern = simd::Active();
+    for (int64_t m : {1, 3, 4, 5, 9}) {
+      for (int64_t k : {0, 1, 6, 21, 64}) {
+        for (int64_t n : {1, 5, 8, 9, 10, 11, 12, 13, 14, 15, 21, 64, 71}) {
+          SCOPED_TRACE(::testing::Message()
+                       << simd::IsaName(isa) << " m=" << m << " k=" << k
+                       << " n=" << n);
+          const std::vector<float> a = BlockedKernelValues(m * k, 1 + n);
+          const std::vector<float> b = BlockedKernelValues(k * n, 2 + m);
+          const std::vector<float> g = BlockedKernelValues(m * n, 3 + k);
+          const std::vector<float> bt = BlockedKernelValues(k * n, 4 + k);
+
+          std::vector<float> want = BlockedKernelValues(m * n, 5);
+          std::vector<float> got = want;
+          for (int64_t i = 0; i < m; ++i) {
+            kern.matmul_row(a.data() + i * k, b.data(), want.data() + i * n,
+                            k, n);
+          }
+          kern.matmul_rows(a.data(), b.data(), got.data(), m, k, n);
+          EXPECT_TRUE(BitwiseEqual(want, got)) << "matmul_rows";
+
+          // dA: g is [m, n], bt is [k, n], da is [m, k].
+          want = BlockedKernelValues(m * k, 6);
+          got = want;
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t kk = 0; kk < k; ++kk) {
+              want[static_cast<size_t>(i * k + kk)] +=
+                  kern.dot(g.data() + i * n, bt.data() + kk * n, n);
+            }
+          }
+          kern.matmul_bwd_a(g.data(), bt.data(), got.data(), m, k, n);
+          EXPECT_TRUE(BitwiseEqual(want, got)) << "matmul_bwd_a";
+
+          // dB over rows [1, k) of a [k, n] gradient (an interior chunk).
+          if (k < 2) continue;
+          want = BlockedKernelValues(k * n, 7);
+          got = want;
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t kk = 1; kk < k; ++kk) {
+              const float av = a[static_cast<size_t>(i * k + kk)];
+              if (av == 0.0f) continue;
+              kern.axpy(av, g.data() + i * n, want.data() + kk * n, n);
+            }
+          }
+          kern.matmul_bwd_b(a.data() + 1, k, g.data(), got.data() + n, m,
+                            k - 1, n);
+          EXPECT_TRUE(BitwiseEqual(want, got)) << "matmul_bwd_b";
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernelTest, ReductionKernelsMatchScalarApproximately) {
   const int64_t k = 67, n = 45;
   const std::vector<float> arow = RandomValues(k, 1);

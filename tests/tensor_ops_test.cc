@@ -297,6 +297,29 @@ TEST(MaskedSoftmaxRowsTest, Gradients) {
       [&] { return SumSquares(MaskedSoftmaxRows(a, mask)); }, {a});
 }
 
+// Ragged segments (lengths 1, 4 and 3) with d = 3 and dv = 2, both the
+// one-query and the causal form, against central differences.
+TEST(SegmentAttentionTest, Gradients) {
+  Rng rng(25);
+  const std::vector<int64_t> offsets = {0, 1, 5, 8};
+  Tensor k = Param({8, 3}, rng, "k");
+  Tensor v = Param({8, 2}, rng, "v");
+  Tensor q_one = Param({3, 3}, rng, "q_one");
+  Tensor q_rows = Param({8, 3}, rng, "q_rows");
+  ExpectGradientsMatch(
+      [&] {
+        return SumSquares(
+            SegmentAttention(q_one, k, v, offsets, /*causal=*/false, 0.7f));
+      },
+      {q_one, k, v});
+  ExpectGradientsMatch(
+      [&] {
+        return SumSquares(
+            SegmentAttention(q_rows, k, v, offsets, /*causal=*/true, 0.7f));
+      },
+      {q_rows, k, v});
+}
+
 // ---- Determinism across kernel thread counts --------------------------------
 //
 // The parallel kernels promise bitwise-identical forward values AND gradients
