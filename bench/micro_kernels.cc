@@ -3,7 +3,9 @@
 // successive attention, sampling, and the dense/sparse matmuls they ride on.
 //
 // The dense-kernel benchmarks (BM_MatMul, BM_MatMulGrad, BM_SoftmaxRowsGrad)
-// sweep the kernel thread count as their second argument; run
+// sweep the kernel thread count as their second argument and time wall
+// clock (UseRealTime, rows suffixed /real_time): the default CPU time counts
+// only the calling thread, which overstates multi-thread throughput. Run
 //
 //   micro_kernels --widen_out BENCH_kernels.json \
 //                 --benchmark_filter='BM_(MatMul|SoftmaxRows)'
@@ -53,7 +55,8 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
   T::KernelContext::Get().SetNumThreads(1);
 }
-BENCHMARK(BM_MatMul)->ArgsProduct({{32, 64, 128, 256}, {1, 2, 4, 8}});
+BENCHMARK(BM_MatMul)->ArgsProduct({{32, 64, 128, 256}, {1, 2, 4, 8}})
+    ->UseRealTime();
 
 // The same forward pinned to the scalar reference table — the SIMD-vs-scalar
 // pair behind the matmul_fwd_simd_speedup metric.
@@ -89,7 +92,8 @@ void BM_MatMulGrad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 3 * n * n * n);
   T::KernelContext::Get().SetNumThreads(1);
 }
-BENCHMARK(BM_MatMulGrad)->ArgsProduct({{64, 128, 256}, {1, 2, 4, 8}});
+BENCHMARK(BM_MatMulGrad)->ArgsProduct({{64, 128, 256}, {1, 2, 4, 8}})
+    ->UseRealTime();
 
 // Encoder shapes, single thread: one walk's [21 x 64] packs against a
 // [64 x 64] attention weight, and its queries against the [64 x 21]
@@ -164,7 +168,8 @@ void BM_SoftmaxRowsGrad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows * cols);
   T::KernelContext::Get().SetNumThreads(1);
 }
-BENCHMARK(BM_SoftmaxRowsGrad)->ArgsProduct({{1024}, {1, 2, 4, 8}});
+BENCHMARK(BM_SoftmaxRowsGrad)->ArgsProduct({{1024}, {1, 2, 4, 8}})
+    ->UseRealTime();
 
 void BM_AttentionSingleQuery(benchmark::State& state) {
   const int64_t packs = state.range(0), d = 64;

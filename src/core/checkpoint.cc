@@ -36,18 +36,28 @@ tensor::NamedTensors CollectTensors(const WidenModel& model) {
   return named;
 }
 
+// The optional trailing "cache:reps"/"cache:valid" pair, taken off
+// `loaded`; both undefined when the file carries no embedding store.
+struct CachePair {
+  tensor::Tensor reps, valid;
+};
+CachePair PopCachePair(tensor::NamedTensors& loaded) {
+  CachePair cache;
+  if (loaded.size() >= 2 && loaded[loaded.size() - 2].first == "cache:reps" &&
+      loaded.back().first == "cache:valid") {
+    cache.reps = std::move(loaded[loaded.size() - 2].second);
+    cache.valid = std::move(loaded.back().second);
+    loaded.pop_back();
+    loaded.pop_back();
+  }
+  return cache;
+}
+
 // Copies loaded tensors into the model: parameter records by position/name,
 // then the optional trailing cache pair. Consumes `loaded`.
 Status RestoreTensors(WidenModel& model, tensor::NamedTensors loaded) {
   tensor::NamedTensors expected = NameParameters(model);
-  tensor::Tensor cache_reps, cache_valid;
-  if (loaded.size() >= 2 && loaded[loaded.size() - 2].first == "cache:reps" &&
-      loaded.back().first == "cache:valid") {
-    cache_reps = loaded[loaded.size() - 2].second;
-    cache_valid = loaded.back().second;
-    loaded.pop_back();
-    loaded.pop_back();
-  }
+  CachePair cache = PopCachePair(loaded);
   if (loaded.size() != expected.size()) {
     return Status::InvalidArgument(
         StrCat("checkpoint has ", loaded.size(), " tensors, model expects ",
@@ -63,8 +73,8 @@ Status RestoreTensors(WidenModel& model, tensor::NamedTensors loaded) {
     WIDEN_RETURN_IF_ERROR(
         tensor::CopyInto(loaded[i].second, expected[i].second));
   }
-  if (cache_reps.defined()) {
-    WIDEN_RETURN_IF_ERROR(model.ImportTrainingCache(cache_reps, cache_valid));
+  if (cache.reps.defined()) {
+    WIDEN_RETURN_IF_ERROR(model.ImportTrainingCache(cache.reps, cache.valid));
   }
   return Status::OK();
 }
@@ -92,14 +102,7 @@ Status SaveTrainingState(const WidenModel& model, const std::string& path) {
 StatusOr<ServingWeights> LoadServingWeights(const std::string& path) {
   WIDEN_ASSIGN_OR_RETURN(tensor::NamedTensors loaded,
                          tensor::LoadTensors(path));
-  ServingWeights weights;
-  if (loaded.size() >= 2 && loaded[loaded.size() - 2].first == "cache:reps" &&
-      loaded.back().first == "cache:valid") {
-    weights.cache_reps = loaded[loaded.size() - 2].second;
-    weights.cache_valid = loaded.back().second;
-    loaded.pop_back();
-    loaded.pop_back();
-  }
+  CachePair cache = PopCachePair(loaded);
   const auto& labels = EncoderParams::CanonicalLabels();
   if (loaded.size() != labels.size()) {
     return Status::InvalidArgument(
@@ -117,15 +120,14 @@ StatusOr<ServingWeights> LoadServingWeights(const std::string& path) {
     }
     tensors.push_back(std::move(loaded[i].second));
   }
+  ServingWeights weights;
   WIDEN_ASSIGN_OR_RETURN(weights.params,
                          EncoderParams::FromTensors(std::move(tensors)));
-  if (weights.cache_reps.defined()) {
-    const int64_t n = weights.cache_reps.rows();
-    if (weights.cache_reps.shape() !=
-            tensor::Shape::Matrix(n, weights.params.embedding_dim()) ||
-        weights.cache_valid.shape() != tensor::Shape::Matrix(n, 1)) {
-      return Status::InvalidArgument("embedding store shape mismatch");
-    }
+  if (cache.reps.defined()) {
+    WIDEN_ASSIGN_OR_RETURN(
+        weights.cache,
+        RepTable::FromTensors(std::move(cache.reps), std::move(cache.valid),
+                              weights.params.embedding_dim()));
   }
   return weights;
 }

@@ -19,8 +19,8 @@ Status SaveWidenModel(const WidenModel& model, const std::string& path);
 
 /// Restores parameters saved by SaveWidenModel into `model`, which must
 /// have been created with a configuration producing identical parameter
-/// shapes. Embedding caches are not restored (they are recomputed by the
-/// next training/eval pass). Also accepts training checkpoints written by
+/// shapes. The embedding store is restored too when the file carries one.
+/// Also accepts training checkpoints written by
 /// SaveTrainingState (the resume blob is simply ignored), so a serving
 /// process can load a mid-training snapshot.
 Status LoadWidenModel(WidenModel& model, const std::string& path);
@@ -45,9 +45,8 @@ Status LoadTrainingState(WidenModel& model, const std::string& path);
 /// nor the training graph, which WidenModel::Create requires; dimensions
 /// are recovered from the stored tensor shapes instead of a config.
 struct ServingWeights {
-  EncoderParams params;           // frozen: no gradient buffers, no tape
-  tensor::Tensor cache_reps;      // [N, d]; undefined if the file had none
-  tensor::Tensor cache_valid;     // [N, 1] 0/1; defined iff cache_reps is
+  EncoderParams params;  // frozen: no gradient buffers, no tape
+  RepTable cache;        // N = 0 if the file had no embedding store
 };
 
 /// Loads serving weights from a file written by SaveWidenModel or

@@ -355,6 +355,38 @@ EncodeResult EncodeTarget(const graph::GraphView& graph,
   return result;
 }
 
+RepTable::RepTable(int64_t num_nodes, int64_t embedding_dim)
+    : RepTable(T::Tensor(T::Shape::Matrix(num_nodes, embedding_dim)),
+               T::Tensor(T::Shape::Matrix(num_nodes, 1))) {}
+
+RepTable::RepTable(T::Tensor reps, T::Tensor valid)
+    : reps_tensor_(std::move(reps)),
+      valid_tensor_(std::move(valid)),
+      reps_(reps_tensor_.mutable_data()),
+      valid_(valid_tensor_.mutable_data()),
+      num_nodes_(reps_tensor_.rows()),
+      embedding_dim_(reps_tensor_.cols()) {}
+
+StatusOr<RepTable> RepTable::FromTensors(T::Tensor reps, T::Tensor valid,
+                                         int64_t embedding_dim) {
+  if (!reps.defined() || !valid.defined() || reps.shape().rank() != 2 ||
+      reps.cols() != embedding_dim ||
+      valid.shape() != T::Shape::Matrix(reps.rows(), 1)) {
+    return Status::InvalidArgument(
+        StrCat("embedding store must be [N, ", embedding_dim,
+               "] reps with [N, 1] valid flags"));
+  }
+  return RepTable(std::move(reps), std::move(valid));
+}
+
+void RepTable::Store(graph::NodeId v, const float* row) {
+  WIDEN_CHECK(v >= 0 && v < num_nodes_) << "node " << v << " outside [0, "
+                                        << num_nodes_ << ")";
+  std::memcpy(reps_ + v * embedding_dim_, row,
+              static_cast<size_t>(embedding_dim_) * sizeof(float));
+  valid_[v] = 1.0f;
+}
+
 uint64_t EvalSeedForNode(uint64_t base_seed, graph::NodeId node) {
   return base_seed ^ 0xE7A1ULL ^
          (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(node) + 1));

@@ -81,6 +81,51 @@ class RepSource {
   virtual const float* Lookup(graph::NodeId v) const = 0;
 };
 
+/// The stored representations themselves, in the checkpoint's layout:
+/// `reps` [N, d] and `valid` [N, 1] of 0/1 (records "cache:reps" and
+/// "cache:valid", core/checkpoint.h). WidenModel's per-graph caches, the
+/// checkpoint and the serving session all hold this one type. Lookup misses
+/// on invalid rows and on every v >= N, so nodes added after the table was
+/// built (serving deltas) read as cold. A default table has N = 0. Copies
+/// share storage, like the tensors they hold.
+class RepTable final : public RepSource {
+ public:
+  RepTable() = default;
+  /// N zero rows of width `embedding_dim`, all invalid.
+  RepTable(int64_t num_nodes, int64_t embedding_dim);
+  /// Adopts `reps` and `valid` (no copy; later Store calls write through
+  /// them). Fails unless they are [N, embedding_dim] and [N, 1].
+  static StatusOr<RepTable> FromTensors(tensor::Tensor reps,
+                                        tensor::Tensor valid,
+                                        int64_t embedding_dim);
+
+  const float* Lookup(graph::NodeId v) const override {
+    if (static_cast<uint64_t>(v) >= static_cast<uint64_t>(num_nodes_) ||
+        valid_[v] == 0.0f) {
+      return nullptr;
+    }
+    return reps_ + v * embedding_dim_;
+  }
+  /// Copies `embedding_dim` floats from `row` into node `v`'s slot and
+  /// marks it valid.
+  void Store(graph::NodeId v, const float* row);
+
+  int64_t num_nodes() const { return num_nodes_; }
+  const tensor::Tensor& reps() const { return reps_tensor_; }
+  const tensor::Tensor& valid() const { return valid_tensor_; }
+
+ private:
+  RepTable(tensor::Tensor reps, tensor::Tensor valid);
+
+  tensor::Tensor reps_tensor_;
+  tensor::Tensor valid_tensor_;
+  // Raw views of the two tensors' storage: Lookup is a compare and a load.
+  float* reps_ = nullptr;
+  float* valid_ = nullptr;
+  int64_t num_nodes_ = 0;
+  int64_t embedding_dim_ = 0;
+};
+
 /// Mutable per-target neighbor state, persisted across training epochs.
 struct TargetState {
   graph::NodeId node = -1;

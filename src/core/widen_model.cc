@@ -20,24 +20,6 @@ namespace {
 
 namespace T = widen::tensor;
 
-// Presents one EmbeddingCache to the shared encode path.
-class CacheRepSource final : public RepSource {
- public:
-  CacheRepSource(const std::vector<float>& data,
-                 const std::vector<bool>& valid, int64_t embedding_dim)
-      : data_(data), valid_(valid), embedding_dim_(embedding_dim) {}
-
-  const float* Lookup(graph::NodeId v) const override {
-    if (!valid_[static_cast<size_t>(v)]) return nullptr;
-    return data_.data() + static_cast<int64_t>(v) * embedding_dim_;
-  }
-
- private:
-  const std::vector<float>& data_;
-  const std::vector<bool>& valid_;
-  int64_t embedding_dim_;
-};
-
 }  // namespace
 
 StatusOr<std::unique_ptr<WidenModel>> WidenModel::Create(
@@ -97,14 +79,10 @@ T::Tensor WidenModel::ProjectionTable(const graph::HeteroGraph& graph) const {
                             all);
 }
 
-WidenModel::EmbeddingCache& WidenModel::CacheFor(
-    const graph::HeteroGraph& graph) {
-  EmbeddingCache& cache = caches_[graph.uid()];
-  const size_t wanted =
-      static_cast<size_t>(graph.num_nodes() * config_.embedding_dim);
-  if (cache.data.size() != wanted) {
-    cache.data.assign(wanted, 0.0f);
-    cache.valid.assign(static_cast<size_t>(graph.num_nodes()), false);
+RepTable& WidenModel::CacheFor(const graph::HeteroGraph& graph) {
+  RepTable& cache = caches_[graph.uid()];
+  if (cache.num_nodes() != graph.num_nodes()) {
+    cache = RepTable(graph.num_nodes(), config_.embedding_dim);
   }
   return cache;
 }
@@ -113,11 +91,7 @@ void WidenModel::StoreRep(const graph::HeteroGraph& graph,
                           graph::NodeId node, const T::Tensor& row) {
   WIDEN_CHECK_EQ(row.rows(), 1);
   WIDEN_CHECK_EQ(row.cols(), config_.embedding_dim);
-  EmbeddingCache& cache = CacheFor(graph);
-  std::copy(row.data(), row.data() + config_.embedding_dim,
-            cache.data.data() +
-                static_cast<int64_t>(node) * config_.embedding_dim);
-  cache.valid[static_cast<size_t>(node)] = true;
+  CacheFor(graph).Store(node, row.data());
 }
 
 void WidenModel::RefreshCache(const graph::HeteroGraph& graph,
@@ -151,10 +125,8 @@ WidenModel::ForwardResult WidenModel::Forward(
     const graph::HeteroGraph& graph, TargetState& state, bool keep_artifacts,
     const T::Tensor* projections) {
   obs::StageScope forward_stage(obs::Stage::kForward);
-  EmbeddingCache& cache = CacheFor(graph);
-  CacheRepSource reps(cache.data, cache.valid, config_.embedding_dim);
   return EncodeTarget(graph::HeteroGraphView(graph), params_, config_, state,
-                      &reps, keep_artifacts, rng_, projections);
+                      &CacheFor(graph), keep_artifacts, rng_, projections);
 }
 
 void WidenModel::MaybeDownsample(TargetState& state,
@@ -483,17 +455,15 @@ T::Tensor WidenModel::EmbedNodes(const graph::HeteroGraph& graph,
   if (caches_.find(graph.uid()) == caches_.end()) {
     RefreshCache(graph, config_.eval_refresh_passes);
   }
-  EmbeddingCache& cache = CacheFor(graph);
+  const RepTable& cache = CacheFor(graph);
   const int64_t d = config_.embedding_dim;
   graph::HeteroGraphView view(graph);
-  CacheRepSource reps(cache.data, cache.valid, d);
   T::Tensor out(T::Shape::Matrix(static_cast<int64_t>(nodes.size()), d));
   float* dst = out.mutable_data();
   for (size_t i = 0; i < nodes.size(); ++i) {
     const graph::NodeId v = nodes[i];
     float* row = dst + static_cast<int64_t>(i) * d;
-    if (cache.valid[static_cast<size_t>(v)]) {
-      const float* src = cache.data.data() + static_cast<int64_t>(v) * d;
+    if (const float* src = cache.Lookup(v)) {
       std::copy(src, src + d, row);
       continue;
     }
@@ -501,7 +471,7 @@ T::Tensor WidenModel::EmbedNodes(const graph::HeteroGraph& graph,
     // SeedCache): averaged over independent neighborhood samples drawn from
     // a per-node RNG stream, so the result does not depend on which other
     // nodes share the batch (core/encoder.h, EvalSeedForNode).
-    T::Tensor mean = EncodeColdMean(view, params_, config_, v, &reps);
+    T::Tensor mean = EncodeColdMean(view, params_, config_, v, &cache);
     std::copy(mean.data(), mean.data() + d, row);
   }
   return out;
@@ -517,15 +487,9 @@ std::vector<int32_t> WidenModel::Predict(
 bool WidenModel::ExportTrainingCache(T::Tensor* reps,
                                      T::Tensor* valid) const {
   auto it = caches_.find(graph_->uid());
-  if (it == caches_.end() || it->second.data.empty()) return false;
-  const EmbeddingCache& cache = it->second;
-  const int64_t n = graph_->num_nodes();
-  const int64_t d = config_.embedding_dim;
-  *reps = T::Tensor::FromVector(T::Shape::Matrix(n, d), cache.data);
-  *valid = T::Tensor(T::Shape::Matrix(n, 1));
-  for (int64_t v = 0; v < n; ++v) {
-    valid->set(v, 0, cache.valid[static_cast<size_t>(v)] ? 1.0f : 0.0f);
-  }
+  if (it == caches_.end() || it->second.num_nodes() == 0) return false;
+  *reps = it->second.reps().DetachedCopy();
+  *valid = it->second.valid().DetachedCopy();
   return true;
 }
 
@@ -536,19 +500,15 @@ Status WidenModel::ImportTrainingCache(const T::Tensor& reps,
 
 Status WidenModel::SeedCache(const graph::HeteroGraph& graph,
                              const T::Tensor& reps, const T::Tensor& valid) {
-  const int64_t n = graph.num_nodes();
-  const int64_t d = config_.embedding_dim;
-  if (!reps.defined() || reps.shape() != T::Shape::Matrix(n, d)) {
-    return Status::InvalidArgument("cache reps shape mismatch");
+  WIDEN_ASSIGN_OR_RETURN(RepTable table,
+                         RepTable::FromTensors(reps, valid,
+                                               config_.embedding_dim));
+  if (table.num_nodes() != graph.num_nodes()) {
+    return Status::InvalidArgument(
+        StrCat("embedding store covers ", table.num_nodes(),
+               " nodes, graph has ", graph.num_nodes()));
   }
-  if (!valid.defined() || valid.shape() != T::Shape::Matrix(n, 1)) {
-    return Status::InvalidArgument("cache valid shape mismatch");
-  }
-  EmbeddingCache& cache = CacheFor(graph);
-  cache.data.assign(reps.data(), reps.data() + reps.size());
-  for (int64_t v = 0; v < n; ++v) {
-    cache.valid[static_cast<size_t>(v)] = valid.at(v, 0) != 0.0f;
-  }
+  caches_[graph.uid()] = std::move(table);
   return Status::OK();
 }
 

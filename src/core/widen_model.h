@@ -99,10 +99,10 @@ class WidenModel {
   std::vector<tensor::Tensor> Parameters() const;
   int64_t TotalParameterCount() const;
 
-  /// Copies the training graph's embedding store into `reps` ([N, d]) and
-  /// `valid` ([N, 1], 0/1). Returns false when no store exists yet.
-  /// Algorithm 3's output is exactly these representations, so checkpoints
-  /// include them (core/checkpoint.h).
+  /// Copies the training graph's embedding store (a RepTable) into `reps`
+  /// ([N, d]) and `valid` ([N, 1], 0/1). Returns false when no store exists
+  /// yet. Algorithm 3's output is exactly these representations, so
+  /// checkpoints include them (core/checkpoint.h).
   bool ExportTrainingCache(tensor::Tensor* reps, tensor::Tensor* valid) const;
   /// Restores a store exported by ExportTrainingCache for the training
   /// graph. Shapes must match the graph and embedding dimension.
@@ -110,10 +110,12 @@ class WidenModel {
                              const tensor::Tensor& valid);
 
   /// Seeds `graph`'s embedding store with explicit rows: `reps` is [N, d],
-  /// `valid` is [N, 1] with nonzero marking rows to serve. EmbedNodes on
-  /// `graph` then reads valid rows directly (no warm-up refresh) and treats
-  /// the rest as cold. This is how serving parity is tested: seed the model
-  /// with the exact store a serving session carries and compare outputs.
+  /// `valid` is [N, 1] with nonzero marking rows to serve. The store adopts
+  /// both tensors (RepTable::FromTensors), so later refreshes write through
+  /// them. EmbedNodes on `graph` then reads valid rows directly (no warm-up
+  /// refresh) and treats the rest as cold. This is how serving parity is
+  /// tested: seed the model with the exact store a serving session carries
+  /// and compare outputs.
   Status SeedCache(const graph::HeteroGraph& graph, const tensor::Tensor& reps,
                    const tensor::Tensor& valid);
 
@@ -151,15 +153,6 @@ class WidenModel {
   using TargetState = core::TargetState;
   using ForwardResult = core::EncodeResult;
 
-  /// Stateful node representations: each message passing step "replaces the
-  /// original node embedding" (§3), so information propagates one hop
-  /// further per epoch. Rows are detached values; invalid rows fall back to
-  /// the fresh projection x G^node.
-  struct EmbeddingCache {
-    std::vector<float> data;
-    std::vector<bool> valid;
-  };
-
   TargetState SampleTargetState(const graph::HeteroGraph& graph,
                                 graph::NodeId node, Rng& rng) const;
   /// `projections`: ProjectionTable(graph) for a tape-free pass, or
@@ -170,7 +163,11 @@ class WidenModel {
   /// x G^node for every node of `graph` under the current parameters,
   /// computed once per tape-free sweep (G^node does not change within one).
   tensor::Tensor ProjectionTable(const graph::HeteroGraph& graph) const;
-  EmbeddingCache& CacheFor(const graph::HeteroGraph& graph);
+  /// Stateful node representations: each message passing step "replaces the
+  /// original node embedding" (§3), so information propagates one hop
+  /// further per epoch. Rows are detached values; invalid rows fall back to
+  /// the fresh projection x G^node.
+  RepTable& CacheFor(const graph::HeteroGraph& graph);
   /// Writes a detached embedding row back into the graph's cache.
   void StoreRep(const graph::HeteroGraph& graph, graph::NodeId node,
                 const tensor::Tensor& row);
@@ -195,7 +192,7 @@ class WidenModel {
   // process-unique identity — never by address, which the allocator can
   // reuse for a different graph after the first one dies.
   std::unordered_map<graph::NodeId, TargetState> target_states_;
-  std::unordered_map<uint64_t, EmbeddingCache> caches_;
+  std::unordered_map<uint64_t, RepTable> caches_;
   AttentionTracker wide_tracker_;
   AttentionTracker deep_tracker_;
   int64_t current_epoch_ = 0;

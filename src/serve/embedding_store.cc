@@ -1,20 +1,27 @@
 #include "serve/embedding_store.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace widen::serve {
 
 EmbeddingStore::EmbeddingStore(int64_t capacity, int64_t embedding_dim)
-    : capacity_(capacity), embedding_dim_(embedding_dim) {
+    : capacity_(capacity),
+      embedding_dim_(embedding_dim),
+      // The row's floats; a std::list node (Entry + prev/next pointers); an
+      // unordered_map node (key/iterator pair + one chaining pointer) plus
+      // one bucket pointer.
+      entry_bytes_(
+          embedding_dim * static_cast<int64_t>(sizeof(float)) +
+          static_cast<int64_t>(sizeof(Entry) + 2 * sizeof(void*)) +
+          static_cast<int64_t>(
+              sizeof(std::pair<const graph::NodeId, Lru::iterator>) +
+              2 * sizeof(void*))) {
   WIDEN_CHECK_GE(capacity, 0);
   WIDEN_CHECK_GT(embedding_dim, 0);
 }
 
-bool EmbeddingStore::Lookup(uint64_t version, graph::NodeId node,
-                            std::vector<float>* out) {
-  auto it = entries_.find(Key(version, node));
+bool EmbeddingStore::Lookup(graph::NodeId node, std::vector<float>* out) {
+  auto it = entries_.find(node);
   if (it == entries_.end()) {
     ++stats_.misses;
     return false;
@@ -25,59 +32,31 @@ bool EmbeddingStore::Lookup(uint64_t version, graph::NodeId node,
   return true;
 }
 
-void EmbeddingStore::Insert(uint64_t version, graph::NodeId node,
-                            const float* row) {
+void EmbeddingStore::Insert(graph::NodeId node, const float* row) {
   if (capacity_ == 0) return;
-  const uint64_t key = Key(version, node);
-  auto it = entries_.find(key);
+  auto it = entries_.find(node);
   if (it != entries_.end()) {
     it->second->row.assign(row, row + embedding_dim_);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
   while (static_cast<int64_t>(entries_.size()) >= capacity_) {
-    const Entry& victim = lru_.back();
-    entries_.erase(Key(victim.version, victim.node));
+    entries_.erase(lru_.back().node);
     lru_.pop_back();
     ++stats_.evictions;
   }
-  lru_.push_front(Entry{version, node,
-                        std::vector<float>(row, row + embedding_dim_)});
-  entries_.emplace(key, lru_.begin());
+  lru_.push_front(Entry{node, std::vector<float>(row, row + embedding_dim_)});
+  entries_.emplace(node, lru_.begin());
   ++stats_.insertions;
 }
 
-int64_t EmbeddingStore::ResidentBytes() const {
-  int64_t bytes = 0;
-  for (const Entry& e : lru_) {
-    bytes += static_cast<int64_t>(e.row.capacity() * sizeof(float));
-  }
-  // std::list node = Entry + prev/next pointers; unordered_map node = the
-  // key/iterator pair + one chaining pointer, plus one bucket pointer.
-  bytes += static_cast<int64_t>(lru_.size()) *
-           static_cast<int64_t>(sizeof(Entry) + 2 * sizeof(void*));
-  bytes += static_cast<int64_t>(entries_.size()) *
-           static_cast<int64_t>(
-               sizeof(std::pair<const uint64_t,
-                                std::list<Entry>::iterator>) +
-               2 * sizeof(void*));
-  return bytes;
-}
-
-void EmbeddingStore::BeginVersion(
-    uint64_t new_version, const std::vector<graph::NodeId>& invalidated) {
-  const std::unordered_set<graph::NodeId> dropped(invalidated.begin(),
-                                                  invalidated.end());
-  entries_.clear();
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (dropped.count(it->node) != 0) {
-      it = lru_.erase(it);
-      ++stats_.invalidations;
-      continue;
-    }
-    it->version = new_version;
-    entries_.emplace(Key(new_version, it->node), it);
-    ++it;
+void EmbeddingStore::Invalidate(const std::vector<graph::NodeId>& nodes) {
+  for (graph::NodeId node : nodes) {
+    auto it = entries_.find(node);
+    if (it == entries_.end()) continue;
+    lru_.erase(it->second);
+    entries_.erase(it);
+    ++stats_.invalidations;
   }
 }
 

@@ -1,12 +1,17 @@
-// Bounded LRU cache of served embeddings, keyed (graph_version, node_id).
+// Bounded LRU cache of served embeddings, keyed by node id.
 //
 // The store holds rows the session had to COMPUTE (delta-added nodes and
 // base nodes without a trained representation); rows frozen at training time
-// are served from the checkpoint's rep table and never enter the store. On
+// are served from the checkpoint's RepTable and never enter the store. On
 // delta ingest the session derives the k-hop set of nodes whose inputs may
-// have changed and calls BeginVersion: those entries are dropped, all other
-// surviving entries are re-keyed to the new version (their inputs are
-// provably unchanged, so re-serving them is exact, not approximate).
+// have changed and calls Invalidate: those entries are dropped, every other
+// entry keeps its row and its LRU position (its inputs are provably
+// unchanged, so re-serving it is exact, not approximate).
+//
+// The key carries no graph version: the session's graph lock is the fence.
+// Embed holds it shared from reading the graph until its last Insert, Ingest
+// holds it exclusively around Apply + Invalidate, so the store only ever
+// holds rows of the current graph (DESIGN.md §10).
 //
 // Not internally synchronized — the owning session guards it with a mutex.
 
@@ -16,7 +21,6 @@
 #include <cstdint>
 #include <list>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/csr.h"
@@ -29,52 +33,48 @@ class EmbeddingStore {
   /// `embedding_dim` is the row width.
   EmbeddingStore(int64_t capacity, int64_t embedding_dim);
 
-  /// Copies the cached row for (version, node) into `out` (resized to the
-  /// embedding dim) and marks it most-recently-used. False on miss.
-  bool Lookup(uint64_t version, graph::NodeId node, std::vector<float>* out);
+  /// Copies the cached row for `node` into `out` (resized to the embedding
+  /// dim) and marks it most-recently-used. False on miss.
+  bool Lookup(graph::NodeId node, std::vector<float>* out);
 
-  /// Inserts/overwrites the row for (version, node), evicting the least
-  /// recently used entry when full.
-  void Insert(uint64_t version, graph::NodeId node, const float* row);
+  /// Inserts/overwrites the row for `node`, evicting the least recently
+  /// used entry when full.
+  void Insert(graph::NodeId node, const float* row);
 
-  /// Transition to `new_version`: entries whose node is in `invalidated`
-  /// are dropped; every other entry is re-keyed from its old version to
-  /// `new_version` and keeps its LRU position.
-  void BeginVersion(uint64_t new_version,
-                    const std::vector<graph::NodeId>& invalidated);
+  /// Drops the entries of `nodes` (unknown nodes are skipped); survivors
+  /// keep their LRU order.
+  void Invalidate(const std::vector<graph::NodeId>& nodes);
 
   int64_t size() const { return static_cast<int64_t>(entries_.size()); }
   int64_t capacity() const { return capacity_; }
 
   /// Heap bytes held by cached rows plus per-entry bookkeeping (list node +
-  /// hash-map slot); excludes allocator slack. Feeds the
-  /// `widen_serve_store_resident_bytes` gauge and the profiler memory report.
-  int64_t ResidentBytes() const;
+  /// hash-map slot); excludes allocator slack. Every row is exactly
+  /// `embedding_dim` floats, so this is size() times one per-entry constant.
+  /// Feeds the `widen_serve_store_resident_bytes` gauge.
+  int64_t ResidentBytes() const { return size() * entry_bytes_; }
 
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t insertions = 0;
-    int64_t invalidations = 0;  // entries dropped by BeginVersion
+    int64_t invalidations = 0;  // entries dropped by Invalidate
     int64_t evictions = 0;      // entries dropped by capacity pressure
   };
   const Stats& stats() const { return stats_; }
 
  private:
   struct Entry {
-    uint64_t version;
     graph::NodeId node;
     std::vector<float> row;
   };
-
-  static uint64_t Key(uint64_t version, graph::NodeId node) {
-    return (version << 32) | static_cast<uint32_t>(node);
-  }
+  using Lru = std::list<Entry>;
 
   int64_t capacity_;
   int64_t embedding_dim_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<uint64_t, std::list<Entry>::iterator> entries_;
+  int64_t entry_bytes_;
+  Lru lru_;  // front = most recently used
+  std::unordered_map<graph::NodeId, Lru::iterator> entries_;
   Stats stats_;
 };
 

@@ -19,8 +19,8 @@ namespace T = widen::tensor;
 
 // Serving metrics, resolved once (the Embed latency histogram behind the
 // p50/p99 the serve CLI prints is the `embed` stage's). The hit/miss
-// counters mirror the session's internal atomics so the store's behaviour
-// shows up in --metrics_out dumps.
+// counters mirror the session's Stats so the store's behaviour shows up in
+// --metrics_out dumps.
 struct ServeMetrics {
   obs::Histogram* embed_batch_nodes;
   obs::Counter* base_hits;
@@ -41,7 +41,7 @@ struct ServeMetrics {
             "Embed rows served from the checkpoint's frozen base reps"),
         obs::MetricsRegistry::Get().GetCounter(
             "widen_serve_store_hits_total",
-            "Embed rows served from the versioned embedding store"),
+            "Embed rows served from the node-keyed embedding store"),
         obs::MetricsRegistry::Get().GetCounter(
             "widen_serve_store_misses_total",
             "Embed rows that required a cold encode"),
@@ -55,35 +55,10 @@ struct ServeMetrics {
             "Store rows invalidated per ingest (k-hop BFS size)"),
         obs::MetricsRegistry::Get().GetGauge(
             "widen_serve_store_resident_bytes",
-            "Approximate heap bytes held by the versioned embedding store"),
+            "Approximate heap bytes held by the node-keyed embedding store"),
     };
     return m;
   }
-};
-
-/// RepSource over the checkpoint's frozen embedding store: valid base rows
-/// are served, everything else (invalid base rows, delta-added nodes) falls
-/// back to the fresh projection — exactly the CacheRepSource the model uses
-/// over a cache whose base rows are valid and whose new rows are not, which
-/// is what makes session cold encodes bitwise-equal to EmbedNodes.
-class BaseRepSource final : public core::RepSource {
- public:
-  BaseRepSource(const T::Tensor* reps, const std::vector<bool>* valid,
-                int64_t embedding_dim)
-      : reps_(reps), valid_(valid), embedding_dim_(embedding_dim) {}
-
-  const float* Lookup(graph::NodeId v) const override {
-    if (v < 0 || v >= static_cast<graph::NodeId>(valid_->size()) ||
-        !(*valid_)[static_cast<size_t>(v)]) {
-      return nullptr;
-    }
-    return reps_->data() + static_cast<int64_t>(v) * embedding_dim_;
-  }
-
- private:
-  const T::Tensor* reps_;
-  const std::vector<bool>* valid_;
-  int64_t embedding_dim_;
 };
 
 }  // namespace
@@ -121,10 +96,10 @@ StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Load(
                " node types; graph schema has ", schema.num_edge_types(),
                " / ", schema.num_node_types()));
   }
-  if (weights.cache_reps.defined() &&
-      weights.cache_reps.rows() != base_graph->num_nodes()) {
+  if (weights.cache.num_nodes() != 0 &&
+      weights.cache.num_nodes() != base_graph->num_nodes()) {
     return Status::InvalidArgument(
-        StrCat("checkpoint embedding store covers ", weights.cache_reps.rows(),
+        StrCat("checkpoint embedding store covers ", weights.cache.num_nodes(),
                " nodes, base graph has ", base_graph->num_nodes()));
   }
   if (options.store_capacity < 0) {
@@ -140,22 +115,12 @@ InferenceSession::InferenceSession(core::ServingWeights weights,
                                    const SessionOptions& options)
     : weights_(std::move(weights)),
       config_(config),
-      options_(options),
       view_(base_graph),
       store_(options.store_capacity, weights_.params.embedding_dim()),
       pool_(options.num_threads > 1
                 ? std::make_unique<ThreadPool>(
                       static_cast<size_t>(options.num_threads))
-                : nullptr) {
-  if (weights_.cache_valid.defined()) {
-    const int64_t n = weights_.cache_valid.rows();
-    base_valid_.resize(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      base_valid_[static_cast<size_t>(i)] =
-          weights_.cache_valid.data()[i] != 0.0f;
-    }
-  }
-}
+                : nullptr) {}
 
 int64_t InferenceSession::num_nodes() const {
   std::shared_lock<std::shared_mutex> lock(graph_mu_);
@@ -163,7 +128,6 @@ int64_t InferenceSession::num_nodes() const {
 }
 
 int64_t InferenceSession::InvalidationHops() const {
-  if (options_.invalidation_hops >= 0) return options_.invalidation_hops;
   return std::max<int64_t>(1, config_.num_deep_neighbors);
 }
 
@@ -190,7 +154,6 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
           StrCat("node ", v, " out of range [0, ", n, ")"));
     }
   }
-  const uint64_t version = version_.load();
   const int64_t d = weights_.params.embedding_dim();
   T::Tensor out(T::Shape::Matrix(static_cast<int64_t>(nodes.size()), d));
 
@@ -200,17 +163,16 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
     int64_t base_hits = 0;
     int64_t store_hits = 0;
     for (size_t i = 0; i < nodes.size(); ++i) {
-      const graph::NodeId v = nodes[i];
-      if (HasBaseRep(v)) {
-        std::memcpy(out.mutable_data() + static_cast<int64_t>(i) * d,
-                    BaseRepRow(v), static_cast<size_t>(d) * sizeof(float));
+      if (const float* base = weights_.cache.Lookup(nodes[i])) {
+        std::memcpy(out.mutable_data() + static_cast<int64_t>(i) * d, base,
+                    static_cast<size_t>(d) * sizeof(float));
         ++base_hits;
         continue;
       }
       bool hit;
       {
         std::lock_guard<std::mutex> store_lock(store_mu_);
-        hit = store_.Lookup(version, v, &row);
+        hit = store_.Lookup(nodes[i], &row);
       }
       if (hit) {
         std::memcpy(out.mutable_data() + static_cast<int64_t>(i) * d,
@@ -221,7 +183,6 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
       }
     }
     base_hits_ += base_hits;
-    store_hits_ += store_hits;
     metrics.base_hits->Add(base_hits);
     metrics.store_hits->Add(store_hits);
     if (report != nullptr) report->store_hits = store_hits;
@@ -230,7 +191,6 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
   if (!cold.empty()) {
     obs::StageScope cold_stage(obs::Stage::kColdEncode);
     metrics.store_misses->Add(static_cast<int64_t>(cold.size()));
-    const BaseRepSource reps(&weights_.cache_reps, &base_valid_, d);
     // Rows are disjoint and every cold node draws from its own RNG stream
     // (EvalSeedForNode), so fan-out order cannot change any bit.
     auto encode_one = [&](size_t k) {
@@ -239,8 +199,8 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
       obs::StageScope node_stage(obs::Stage::kColdEncode, &cold_stage);
       T::InferenceScope inference;
       const graph::NodeId v = nodes[cold[k]];
-      T::Tensor mean =
-          core::EncodeColdMean(view_, weights_.params, config_, v, &reps);
+      T::Tensor mean = core::EncodeColdMean(view_, weights_.params, config_,
+                                            v, &weights_.cache);
       std::memcpy(out.mutable_data() + static_cast<int64_t>(cold[k]) * d,
                   mean.data(), static_cast<size_t>(d) * sizeof(float));
     };
@@ -249,14 +209,12 @@ StatusOr<tensor::Tensor> InferenceSession::Embed(
     } else {
       for (size_t k = 0; k < cold.size(); ++k) encode_one(k);
     }
-    cold_encodes_ += static_cast<int64_t>(cold.size());
     if (report != nullptr) {
       report->cold_encodes = static_cast<int64_t>(cold.size());
     }
     std::lock_guard<std::mutex> store_lock(store_mu_);
     for (size_t k : cold) {
-      store_.Insert(version, nodes[k],
-                    out.data() + static_cast<int64_t>(k) * d);
+      store_.Insert(nodes[k], out.data() + static_cast<int64_t>(k) * d);
     }
     metrics.store_resident_bytes->Set(
         static_cast<double>(store_.ResidentBytes()));
@@ -282,11 +240,9 @@ StatusOr<uint64_t> InferenceSession::Ingest(const GraphDelta& delta) {
   std::unique_lock<std::shared_mutex> graph_lock(graph_mu_);
   WIDEN_ASSIGN_OR_RETURN(std::vector<graph::NodeId> touched,
                          view_.Apply(delta));
-  const uint64_t new_version = version_.load() + 1;
-
   // Everything within k hops of a changed node may sample through the new
   // structure; everything farther provably cannot (walks are length-bounded),
-  // so its cached row survives the version bump.
+  // so its cached row survives the ingest.
   std::unordered_set<graph::NodeId> affected(touched.begin(), touched.end());
   std::vector<graph::NodeId> frontier = touched;
   const int64_t hops = InvalidationHops();
@@ -302,16 +258,15 @@ StatusOr<uint64_t> InferenceSession::Ingest(const GraphDelta& delta) {
     }
     frontier = std::move(next);
   }
-  std::vector<graph::NodeId> invalidated(affected.begin(), affected.end());
-  std::sort(invalidated.begin(), invalidated.end());
+  const std::vector<graph::NodeId> invalidated(affected.begin(),
+                                               affected.end());
   {
     std::lock_guard<std::mutex> store_lock(store_mu_);
-    store_.BeginVersion(new_version, invalidated);
+    store_.Invalidate(invalidated);
     metrics.store_resident_bytes->Set(
         static_cast<double>(store_.ResidentBytes()));
   }
-  version_.store(new_version);
-  ++ingests_;
+  const uint64_t new_version = version_.fetch_add(1) + 1;
   metrics.ingests->Increment();
   metrics.invalidations->Add(static_cast<int64_t>(invalidated.size()));
   metrics.invalidated_nodes->Record(static_cast<double>(invalidated.size()));
@@ -321,13 +276,15 @@ StatusOr<uint64_t> InferenceSession::Ingest(const GraphDelta& delta) {
 InferenceSession::Stats InferenceSession::stats() const {
   Stats s;
   s.base_hits = base_hits_.load();
-  s.store_hits = store_hits_.load();
-  s.cold_encodes = cold_encodes_.load();
-  s.ingests = ingests_.load();
+  s.ingests = static_cast<int64_t>(version_.load());
   {
     std::lock_guard<std::mutex> store_lock(store_mu_);
     s.store = store_.stats();
   }
+  // Every non-base row makes exactly one store Lookup: a hit is served
+  // warm, a miss is cold-encoded.
+  s.store_hits = s.store.hits;
+  s.cold_encodes = s.store.misses;
   return s;
 }
 

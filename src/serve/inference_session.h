@@ -11,13 +11,15 @@
 //     are embedded on demand through the shared encode path
 //     (core/encoder.h) with tape-free, allocation-reusing forwards
 //     (tensor/inference.h).
-//   * Computed rows are cached in a bounded LRU keyed by
-//     (graph_version, node); each ingest bumps the version and invalidates
-//     exactly the k-hop neighborhood whose inputs changed.
+//   * Computed rows are cached in a bounded LRU keyed by node; each ingest
+//     bumps the version and invalidates the k-hop neighborhood whose inputs
+//     may have changed.
 //
-// Concurrency: Embed/Predict take a shared lock, Ingest an exclusive one,
-// and the LRU store has its own mutex — many readers proceed in parallel
-// and are serialized only against ingests.
+// Concurrency: Embed/Predict take the graph lock shared for their whole
+// read-encode-insert, Ingest takes it exclusively, and the LRU store has its
+// own mutex — many readers proceed in parallel and are serialized only
+// against ingests. The graph lock is also what keeps rows of an older graph
+// out of the store.
 
 #ifndef WIDEN_SERVE_INFERENCE_SESSION_H_
 #define WIDEN_SERVE_INFERENCE_SESSION_H_
@@ -41,10 +43,6 @@ struct SessionOptions {
   /// Maximum number of rows in the computed-embedding LRU store (0 disables
   /// caching; every non-base query recomputes).
   int64_t store_capacity = 4096;
-  /// How many hops around a delta's touched nodes to invalidate. -1 derives
-  /// the exact bound from the config: max(1, num_deep_neighbors), the
-  /// farthest any sampled input reaches.
-  int64_t invalidation_hops = -1;
   /// Worker threads for fanning cold-node encodes of one Embed call out in
   /// parallel (1 = serial). Results are bitwise independent of this value —
   /// every cold node draws from its own RNG stream.
@@ -66,8 +64,8 @@ class InferenceSession {
   InferenceSession& operator=(const InferenceSession&) = delete;
 
   /// Per-call composition of one Embed: how many rows came from the warm
-  /// LRU store and from fresh encodes (the rest came from the frozen rep
-  /// table). The deltas behind the cumulative Stats counters, exposed so
+  /// LRU store and from fresh encodes (the rest came from the checkpoint's
+  /// RepTable). The deltas behind the cumulative Stats counters, exposed so
   /// request tracing can attribute a batch's store behavior to the requests
   /// it served.
   struct EmbedReport {
@@ -104,7 +102,7 @@ class InferenceSession {
   const core::WidenConfig& config() const { return config_; }
 
   struct Stats {
-    int64_t base_hits = 0;      // rows served from the trained rep table
+    int64_t base_hits = 0;      // rows served from the trained RepTable
     int64_t store_hits = 0;     // rows served warm from the LRU store
     int64_t cold_encodes = 0;   // rows computed by EncodeColdMean
     int64_t ingests = 0;
@@ -118,35 +116,24 @@ class InferenceSession {
                    const core::WidenConfig& config,
                    const SessionOptions& options);
 
-  /// True when `v` has a frozen training-time representation.
-  bool HasBaseRep(graph::NodeId v) const {
-    return v < static_cast<graph::NodeId>(base_valid_.size()) &&
-           base_valid_[static_cast<size_t>(v)];
-  }
-  const float* BaseRepRow(graph::NodeId v) const {
-    return weights_.cache_reps.data() + static_cast<int64_t>(v) *
-                                            weights_.params.embedding_dim();
-  }
+  /// Hops around a delta's touched nodes whose rows Ingest drops:
+  /// max(1, num_deep_neighbors), a sound bound on how far a cold encode's
+  /// inputs reach (DESIGN.md §10).
   int64_t InvalidationHops() const;
 
-  core::ServingWeights weights_;
-  std::vector<bool> base_valid_;  // cache_valid unpacked; empty if no store
+  core::ServingWeights weights_;  // weights_.cache: the frozen base rows
   core::WidenConfig config_;
-  SessionOptions options_;
 
   mutable std::shared_mutex graph_mu_;  // guards view_ (Ingest is writer)
   DeltaGraphView view_;
-  std::atomic<uint64_t> version_{0};
+  std::atomic<uint64_t> version_{0};  // also the count of ingests
 
-  mutable std::mutex store_mu_;  // guards store_
-  EmbeddingStore store_;
+  mutable std::mutex store_mu_;  // guards store_; its hits/misses are the
+  EmbeddingStore store_;         // store_hits/cold_encodes of Stats
 
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads <= 1
 
   std::atomic<int64_t> base_hits_{0};
-  std::atomic<int64_t> store_hits_{0};
-  std::atomic<int64_t> cold_encodes_{0};
-  std::atomic<int64_t> ingests_{0};
 };
 
 }  // namespace widen::serve

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "obs/memprof.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "tensor/kernel_context.h"
 #include "tensor/simd/simd.h"
@@ -57,26 +56,6 @@ BroadcastKind CheckBroadcast(const Tensor& a, const Tensor& b,
   return BroadcastKind::kRowVector;
 }
 
-// FLOPs are summed in a plain thread-local and flushed to the shared counter
-// every 64 passes: the embedding-dim matmuls in the serving path are small
-// enough that a per-pass fetch_add shows up in bench/obs_bench, while a
-// thread-local add does not. The exported value trails the truth by at most
-// 63 passes per thread.
-void AddMatMulFlops(int64_t flops) {
-  WIDEN_METRIC_COUNTER(total, "widen_tensor_matmul_flops_total",
-                       "Floating point operations (2mnk per pass) executed "
-                       "by MatMul forward and backward kernels (flushed in "
-                       "blocks of 64 passes per thread)");
-  thread_local int64_t pending_flops = 0;
-  thread_local int pending_passes = 0;
-  pending_flops += flops;
-  if (++pending_passes >= 64) {
-    total->Add(pending_flops);
-    pending_flops = 0;
-    pending_passes = 0;
-  }
-}
-
 }  // namespace
 
 // ---- Linear algebra --------------------------------------------------------
@@ -93,7 +72,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // accumulation counted as one read plus one write (DESIGN.md §12).
   ScopedOpProfile prof(ProfOp::kMatMul, 2 * m * n * k,
                        4 * (m * k + k * n + m * n));
-  AddMatMulFlops(2 * m * n * k);
   {
     const float* pa = a.data();
     const float* pb = b.data();
@@ -126,7 +104,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       const float* g = oi->grad.data();
       if (ai->requires_grad) {
         ai->EnsureGrad();
-        AddMatMulFlops(2 * m * n * k);
         // dA += dC * B^T  (m x n) * (n x k); dA rows are disjoint per chunk.
         float* da = ai->grad.data();
         const float* pb = bi->data.data();
@@ -137,7 +114,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       }
       if (bi->requires_grad) {
         bi->EnsureGrad();
-        AddMatMulFlops(2 * m * n * k);
         // dB += A^T * dC  (k x m) * (m x n), parallelized over dB's own
         // rows: each chunk owns dB rows [k0, k1) outright and accumulates
         // every db[kk][j]'s i-terms in ascending order — the serial kernel's

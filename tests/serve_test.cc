@@ -28,6 +28,7 @@
 #include "serve/graph_delta.h"
 #include "serve/request_batcher.h"
 #include "tensor/inference.h"
+#include "tensor/serialize.h"
 
 namespace widen::serve {
 namespace {
@@ -233,13 +234,13 @@ TEST(InferenceSessionTest, RoundTripBitwiseEqualIncludingDeltaOnlyNodes) {
 
   auto weights = core::LoadServingWeights(path);
   ASSERT_TRUE(weights.ok());
-  ASSERT_TRUE(weights->cache_reps.defined());
+  ASSERT_EQ(weights->cache.num_nodes(), base.num_nodes());
   T::Tensor ext_reps(T::Shape::Matrix(n_after, config.embedding_dim));
   T::Tensor ext_valid(T::Shape::Matrix(n_after, 1));
-  std::memcpy(ext_reps.mutable_data(), weights->cache_reps.data(),
+  std::memcpy(ext_reps.mutable_data(), weights->cache.reps().data(),
               static_cast<size_t>(base.num_nodes() * config.embedding_dim) *
                   sizeof(float));
-  std::memcpy(ext_valid.mutable_data(), weights->cache_valid.data(),
+  std::memcpy(ext_valid.mutable_data(), weights->cache.valid().data(),
               static_cast<size_t>(base.num_nodes()) * sizeof(float));
   ASSERT_TRUE(model.SeedCache(merged, ext_reps, ext_valid).ok());
 
@@ -265,11 +266,10 @@ TEST(InferenceSessionTest, IngestInvalidatesExactlyTheKHopNeighborhood) {
   const int64_t n = 12;
   graph::HeteroGraph chain = ChainGraph(n, 6);
   core::WidenConfig config = SmallConfig();
+  config.num_deep_neighbors = 2;  // invalidation reaches max(1, 2) hops
   const std::string path = WriteColdCheckpoint(chain, config, "serve_chain.wdnt");
 
-  SessionOptions options;
-  options.invalidation_hops = 2;
-  auto session_or = InferenceSession::Load(path, &chain, config, options);
+  auto session_or = InferenceSession::Load(path, &chain, config);
   ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
   InferenceSession& session = **session_or;
 
@@ -333,6 +333,53 @@ TEST(InferenceSessionTest, RejectsBadLoadsDeltasAndQueries) {
   EXPECT_FALSE(InferenceSession::Load(path, &chain, wrong_d).ok());
   graph::HeteroGraph wrong_features = ChainGraph(8, 9);
   EXPECT_FALSE(InferenceSession::Load(path, &wrong_features, config).ok());
+
+  // The checkpoint's embedding store (a core::RepTable) must be [N, d] reps
+  // with [N, 1] valid flags, and N must be the base graph's node count.
+  auto params_only = T::LoadTensors(path);
+  ASSERT_TRUE(params_only.ok());
+  auto with_store = [&](const char* name, int64_t rows, int64_t dim,
+                        int64_t valid_cols) {
+    T::NamedTensors named = *params_only;
+    T::Tensor reps(T::Shape::Matrix(rows, dim));
+    T::Tensor valid(T::Shape::Matrix(rows, valid_cols));
+    for (int64_t i = 0; i < reps.size(); ++i) {
+      reps.mutable_data()[i] = 0.5f + static_cast<float>(i);
+    }
+    for (int64_t i = 0; i < valid.size(); ++i) valid.mutable_data()[i] = 1.0f;
+    named.emplace_back("cache:reps", reps);
+    named.emplace_back("cache:valid", valid);
+    const std::string store_path = TempPath(name);
+    WIDEN_CHECK_OK(T::SaveTensors(store_path, named));
+    return store_path;
+  };
+  const int64_t d = config.embedding_dim;
+  for (const std::string& bad :
+       {with_store("serve_rej_d.wdnt", 8, d + 1, 1),
+        with_store("serve_rej_valid.wdnt", 8, d, 2),
+        with_store("serve_rej_rows.wdnt", 7, d, 1)}) {
+    EXPECT_EQ(InferenceSession::Load(bad, &chain, config).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  {
+    // A well-formed store serves its rows verbatim; a node added past N
+    // misses the table and is cold-encoded.
+    const std::string good = with_store("serve_rej_good.wdnt", 8, d, 1);
+    auto stored = InferenceSession::Load(good, &chain, config);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    auto row = (*stored)->Embed({3});
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->at(0, 0), 0.5f + static_cast<float>(3 * d));
+    GraphDelta grow = (*stored)->NewDelta();
+    const graph::NodeId past_n = grow.AddNode(0, std::vector<float>(6, 0.3f));
+    grow.AddEdge(past_n, 3, 0);
+    ASSERT_TRUE((*stored)->Ingest(grow).ok());
+    ASSERT_TRUE((*stored)->Embed({past_n, 3}).ok());
+    const auto stats = (*stored)->stats();
+    EXPECT_EQ(stats.base_hits, 2);  // node 3, twice: base rows never go stale
+    EXPECT_EQ(stats.cold_encodes, 1);
+  }
 
   auto session_or = InferenceSession::Load(path, &chain, config);
   ASSERT_TRUE(session_or.ok());
@@ -494,60 +541,99 @@ TEST(RequestBatcherTest, ConcurrentClientsWithInterleavedIngests) {
     });
   }
   // Grow the graph while the clients hammer the batcher.
+  std::vector<GraphDelta> deltas;
   for (int i = 0; i < 3; ++i) {
     GraphDelta delta = session.NewDelta();
     const graph::NodeId fresh =
         delta.AddNode(0, std::vector<float>(6, 0.1f * static_cast<float>(i)));
     delta.AddEdge(fresh, static_cast<graph::NodeId>(i * 4), 0);
     ASSERT_TRUE(session.Ingest(delta).ok());
+    deltas.push_back(std::move(delta));
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(batcher.stats().requests, kClients * kQueriesPerClient * 2);
   EXPECT_EQ(session.graph_version(), 3u);
   EXPECT_EQ(session.num_nodes(), 15);
+
+  // The store is keyed by node alone; only the graph lock keeps rows of an
+  // older graph out of it. Whatever the clients left behind must be bitwise
+  // what a fresh session computes after replaying the same deltas.
+  auto replay_or = InferenceSession::Load(path, &chain, config, options);
+  ASSERT_TRUE(replay_or.ok());
+  for (const GraphDelta& delta : deltas) {
+    ASSERT_TRUE((*replay_or)->Ingest(delta).ok());
+  }
+  std::vector<graph::NodeId> all;
+  for (graph::NodeId v = 0; v < 15; ++v) all.push_back(v);
+  auto live = session.Embed(all);
+  auto replayed = (*replay_or)->Embed(all);
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(replayed.ok());
+  ExpectRowsEqual(*live, *replayed);
 }
 
-TEST(EmbeddingStoreTest, LruEvictionAndVersionRekeying) {
-  EmbeddingStore store(2, 2);
+TEST(EmbeddingStoreTest, LruEvictionAndNodeInvalidation) {
+  EmbeddingStore store(3, 2);
   const float ra[] = {1.0f, 2.0f};
   const float rb[] = {3.0f, 4.0f};
   const float rc[] = {5.0f, 6.0f};
-  store.Insert(0, 10, ra);
-  store.Insert(0, 11, rb);
-  store.Insert(0, 12, rc);  // evicts node 10 (LRU)
-  std::vector<float> out;
-  EXPECT_FALSE(store.Lookup(0, 10, &out));
-  EXPECT_TRUE(store.Lookup(0, 11, &out));
-  EXPECT_EQ(out, std::vector<float>({3.0f, 4.0f}));
-  EXPECT_EQ(store.stats().evictions, 1);
-
-  // Touching 11 made it MRU; the next eviction takes 12.
   const float rd[] = {7.0f, 8.0f};
-  store.Insert(0, 13, rd);
-  EXPECT_FALSE(store.Lookup(0, 12, &out));
-  EXPECT_TRUE(store.Lookup(0, 11, &out));
+  std::vector<float> out;
 
-  // Version bump: 11 invalidated, 13 re-keyed to the new version.
-  store.BeginVersion(1, {11});
-  EXPECT_FALSE(store.Lookup(1, 11, &out));
-  EXPECT_TRUE(store.Lookup(1, 13, &out));
-  EXPECT_EQ(out, std::vector<float>({7.0f, 8.0f}));
-  EXPECT_FALSE(store.Lookup(0, 13, &out));  // old version is gone
-  EXPECT_EQ(store.stats().invalidations, 1);
-  EXPECT_EQ(store.size(), 1);
-
-  // Overwrite keeps size stable.
-  store.Insert(1, 13, ra);
-  EXPECT_EQ(store.size(), 1);
-  EXPECT_TRUE(store.Lookup(1, 13, &out));
+  // Eviction takes the least recently used row.
+  store.Insert(10, ra);
+  store.Insert(11, rb);
+  store.Insert(12, rc);
+  EXPECT_TRUE(store.Lookup(10, &out));  // LRU order now 11, 12, 10
   EXPECT_EQ(out, std::vector<float>({1.0f, 2.0f}));
+  store.Insert(13, rd);  // evicts 11
+  EXPECT_FALSE(store.Lookup(11, &out));
+  EXPECT_EQ(store.stats().evictions, 1);
+  EXPECT_EQ(store.size(), 3);
 
-  // Zero capacity disables caching entirely.
+  // Overwrite keeps the size; the new row is served below.
+  store.Insert(12, ra);  // LRU order now 10, 13, 12
+  EXPECT_EQ(store.size(), 3);
+  EXPECT_EQ(store.stats().insertions, 4);
+
+  // Invalidate drops only the listed rows; an unknown node is a no-op.
+  store.Invalidate({13, 99});
+  EXPECT_EQ(store.stats().invalidations, 1);
+  EXPECT_EQ(store.size(), 2);
+  EXPECT_FALSE(store.Lookup(13, &out));
+
+  // Survivors keep their LRU order: refill to capacity, and the next
+  // eviction takes the oldest survivor (10), not the newer one (12).
+  store.Insert(14, rb);  // LRU order 10, 12, 14
+  store.Insert(15, rc);  // evicts 10
+  EXPECT_FALSE(store.Lookup(10, &out));
+  EXPECT_TRUE(store.Lookup(12, &out));
+  EXPECT_EQ(out, std::vector<float>({1.0f, 2.0f}));
+  EXPECT_TRUE(store.Lookup(14, &out));
+  EXPECT_EQ(out, std::vector<float>({3.0f, 4.0f}));
+  EXPECT_EQ(store.stats().evictions, 2);
+
+  // Resident bytes: one per-entry constant times the size, whatever the
+  // history of inserts, overwrites and invalidations.
+  EmbeddingStore fresh(3, 2);
+  for (graph::NodeId v = 0; v < 3; ++v) fresh.Insert(v, rd);
+  EXPECT_EQ(store.ResidentBytes(), fresh.ResidentBytes());
+  EXPECT_EQ(store.ResidentBytes() % 3, 0);
+  EXPECT_GE(store.ResidentBytes() / 3,
+            static_cast<int64_t>(2 * sizeof(float)));
+  store.Invalidate({12, 14, 15});
+  EXPECT_EQ(store.size(), 0);
+  EXPECT_EQ(store.ResidentBytes(), 0);
+
+  // Zero capacity disables caching entirely; every Lookup is a miss.
   EmbeddingStore disabled(0, 2);
-  disabled.Insert(0, 1, ra);
-  EXPECT_FALSE(disabled.Lookup(0, 1, &out));
+  disabled.Insert(1, ra);
+  EXPECT_FALSE(disabled.Lookup(1, &out));
   EXPECT_EQ(disabled.size(), 0);
+  EXPECT_EQ(disabled.ResidentBytes(), 0);
+  EXPECT_EQ(disabled.stats().misses, 1);
+  EXPECT_EQ(disabled.stats().insertions, 0);
 }
 
 // Regression for the linger-anchoring bug: the worker used to re-anchor the

@@ -87,6 +87,50 @@ TEST(WidenInternalsTest, ImportRejectsWrongShapes) {
   tensor::Tensor reps(tensor::Shape::Matrix(graph->num_nodes(), 8));
   tensor::Tensor bad_valid(tensor::Shape::Matrix(2, 1));
   EXPECT_FALSE((*model)->ImportTrainingCache(reps, bad_valid).ok());
+  tensor::Tensor wide_reps(tensor::Shape::Matrix(graph->num_nodes(), 9));
+  EXPECT_FALSE((*model)->ImportTrainingCache(wide_reps, valid).ok());
+  tensor::Tensor wide_valid(tensor::Shape::Matrix(graph->num_nodes(), 2));
+  EXPECT_FALSE((*model)->ImportTrainingCache(reps, wide_valid).ok());
+  EXPECT_FALSE((*model)->ImportTrainingCache(reps, tensor::Tensor()).ok());
+
+  // The same checks guard RepTable itself, whatever the graph.
+  EXPECT_FALSE(RepTable::FromTensors(wide_reps, valid, 8).ok());
+  EXPECT_FALSE(RepTable::FromTensors(reps, wide_valid, 8).ok());
+  EXPECT_FALSE(RepTable::FromTensors(tensor::Tensor(), valid, 8).ok());
+  EXPECT_FALSE(
+      RepTable::FromTensors(tensor::Tensor(tensor::Shape{8}),
+                            valid, 8)
+          .ok());
+}
+
+TEST(WidenInternalsTest, RepTableMissesInvalidRowsAndNodesPastN) {
+  const int64_t n = 4, d = 3;
+  tensor::Tensor reps(tensor::Shape::Matrix(n, d));
+  for (int64_t i = 0; i < reps.size(); ++i) {
+    reps.mutable_data()[i] = static_cast<float>(i);
+  }
+  tensor::Tensor valid(tensor::Shape::Matrix(n, 1));
+  valid.set(1, 0, 1.0f);
+  auto table = RepTable::FromTensors(reps, valid, d);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->num_nodes(), n);
+  EXPECT_EQ(table->Lookup(1), reps.data() + d);  // adopted, not copied
+  EXPECT_EQ(table->Lookup(0), nullptr);          // invalid row
+  EXPECT_EQ(table->Lookup(n), nullptr);          // first delta-added id
+  EXPECT_EQ(table->Lookup(n + 100), nullptr);
+  EXPECT_EQ(table->Lookup(-1), nullptr);
+
+  const float row[] = {7.0f, 8.0f, 9.0f};
+  table->Store(2, row);
+  ASSERT_NE(table->Lookup(2), nullptr);
+  EXPECT_EQ(table->Lookup(2)[2], 9.0f);
+  EXPECT_EQ(valid.at(2, 0), 1.0f);  // writes through to the checkpoint layout
+
+  const RepTable empty;
+  EXPECT_EQ(empty.num_nodes(), 0);
+  EXPECT_EQ(empty.Lookup(0), nullptr);
+  const RepTable zeroed(n, d);
+  for (graph::NodeId v = 0; v <= n; ++v) EXPECT_EQ(zeroed.Lookup(v), nullptr);
 }
 
 TEST(WidenInternalsTest, InductiveGraphGetsItsOwnStore) {
